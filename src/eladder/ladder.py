@@ -361,11 +361,7 @@ def adaptive_truncation(
             )
         h = build_hamiltonian(e, f, variant, n_try)
         trial = _embed(state, n_try)
-        cfg = PropagationConfig(
-            t_end=t_max,
-            sample_interval=t_max / 32.0,
-            method="dense" if 2 * n_try + 1 <= 1025 else "banded",
-        )
+        cfg = PropagationConfig(t_end=t_max, sample_interval=t_max / 32.0)
         spec = propagate(h, trial, cfg)
         n_abs = np.abs(h.indices())
         tail = spec.populations[:, n_abs >= n_try - 2].sum(axis=1)

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import jv
 
 from .constants import HBAR
 from .errors import ValidationError
@@ -44,6 +43,8 @@ def bessel_population(sol: BesselSolution, n, t: float):
     `n` may be a scalar or an integer array; the phase drops out of the
     populations entirely.
     """
+    from scipy.special import jv  # local: keeps scipy out of the CLI import
+
     if t < 0:
         raise ValidationError("time must be non-negative")
     return jv(n, sol.argument(t)) ** 2

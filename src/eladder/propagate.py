@@ -2,9 +2,18 @@
 
 Two independent integration paths are provided on purpose:
 
-* "dense": diagonalize the Hermitian matrix once (scipy.linalg.eigh) and
+* "dense": diagonalize the Hermitian matrix once (numpy.linalg.eigh) and
   apply exp(-i H t / hbar) exactly at every sample time.  Exact up to
   eigensolver roundoff; cost grows with the matrix dimension cubed.
+  The field phase enters a physical ladder only as a gauge: with
+  d_n = exp(i n theta), conj(d) H d has the bands hop_1 exp(i theta) and
+  hop_2 exp(2 i theta).  theta is read off the largest hop_1 entry (half
+  the argument of the largest hop_2 entry when hop_1 vanishes), which
+  makes both bands real, so the solve runs on a real symmetric matrix and
+  the samples are rebuilt with real products and one final row phase d.
+  Bands whose imaginary residue after this gauge exceeds GAUGE_RESIDUE
+  relative to the largest band entry (generic complex bands) take the
+  complex eigensolver instead.
 * "banded": classical fixed-step RK4 using only the three bands.  The step
   starts at step_safety * hbar / (Gershgorin bound) and the whole run is
   repeated with doubled substep counts until two successive refinements
@@ -19,13 +28,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh
 
 from .constants import HBAR
 from .errors import IntegrationError, ResourceLimitError, ValidationError
 from .ladder import LadderHamiltonian, LadderState
 
 DENSE_ORACLE_MAX_DIM = 1025
+GAUGE_RESIDUE = 1e-12
 MAX_REFINEMENTS = 24
 
 
@@ -87,12 +96,45 @@ def _sample_times(t0: float, cfg: PropagationConfig) -> np.ndarray:
     return times
 
 
+def _real_form(h: LadderHamiltonian) -> tuple[float, np.ndarray] | None:
+    """theta and conj(d) H d, d_n = exp(i n theta), as a real symmetric
+    matrix; None when no theta makes both hop bands real to GAUGE_RESIDUE."""
+    if np.any(h.hop_1):
+        theta = -float(np.angle(h.hop_1[np.argmax(np.abs(h.hop_1))]))
+    else:
+        theta = -0.5 * float(np.angle(h.hop_2[np.argmax(np.abs(h.hop_2))]))
+    hop_1 = h.hop_1 * np.exp(1j * theta)
+    hop_2 = h.hop_2 * np.exp(2j * theta)
+    scale = max(np.abs(b).max() for b in (h.diagonal, hop_1, hop_2))
+    residue = max(np.abs(hop_1.imag).max(), np.abs(hop_2.imag).max())
+    if residue > GAUGE_RESIDUE * scale:
+        return None
+    m = np.zeros((h.dim, h.dim))
+    i = np.arange(h.dim)
+    m[i, i] = h.diagonal
+    i = i[:-1]
+    m[i, i + 1] = m[i + 1, i] = hop_1.real
+    i = i[:-1]
+    m[i, i + 2] = m[i + 2, i] = hop_2.real
+    return theta, m
+
+
 def _evolve_dense(h: LadderHamiltonian, a0: np.ndarray, times: np.ndarray) -> np.ndarray:
-    energies, modes = eigh(h.to_dense())
-    weights = modes.conj().T @ a0
     spans = times - times[0]
-    phases = np.exp(-1j * np.outer(energies, spans) / HBAR)
-    return (modes @ (phases * weights[:, None])).T
+    real = _real_form(h)
+    if real is None:
+        energies, modes = np.linalg.eigh(h.to_dense())
+        weights = modes.conj().T @ a0
+        phases = np.exp(-1j * np.outer(energies, spans) / HBAR)
+        return (modes @ (phases * weights[:, None])).T
+    theta, m = real
+    d = np.exp(1j * theta * np.arange(h.dim))
+    energies, modes = np.linalg.eigh(m)
+    weights = modes.T @ (d.conj() * a0)
+    c = np.exp(-1j * np.outer(energies, spans) / HBAR) * weights[:, None]
+    amplitudes = modes @ c.real + 1j * (modes @ c.imag)
+    amplitudes *= d[:, None]
+    return amplitudes.T
 
 
 def _rk4_span(
@@ -204,30 +246,6 @@ def propagate(
         n_max=h.n_max,
         metadata=meta,
     )
-
-
-def final_amplitudes(
-    h: LadderHamiltonian, s0: LadderState, t_end: float, cfg: PropagationConfig
-) -> LadderState:
-    """Evolve and return only the state at s0.time + t_end."""
-    spec_cfg = PropagationConfig(
-        t_end=t_end,
-        sample_interval=t_end,
-        method=cfg.method,
-        step_tolerance=cfg.step_tolerance,
-        norm_drift_limit=cfg.norm_drift_limit,
-        step_safety=cfg.step_safety,
-    )
-    times = _sample_times(s0.time, spec_cfg)
-    method = spec_cfg.method
-    if method == "auto":
-        method = "dense" if h.dim <= DENSE_ORACLE_MAX_DIM else "banded"
-    if method == "dense":
-        amps = _evolve_dense(h, s0.amplitudes, times)
-    else:
-        amps, _, _ = _evolve_banded(h, s0.amplitudes, times, spec_cfg)
-    final = amps[-1]
-    return LadderState(final / np.linalg.norm(final), float(times[-1]), h.n_max)
 
 
 def dense_oracle_compare(

@@ -1,9 +1,14 @@
 """Command-line surface: exit codes, output bundles, and the replay loop."""
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import eladder
 from eladder.cli import main
 
 CHEAP = """
@@ -176,3 +181,16 @@ class TestVersion:
             main(["--version"])
         assert exc.value.code == 0
         assert re.fullmatch(r"\d+\.\d+\.\d+", capsys.readouterr().out.strip())
+
+
+def test_cli_import_loads_no_scipy():
+    """scipy bundles its own OpenBLAS; loading it next to numpy's makes two
+    thread pools compete for the same cores."""
+    src = str(Path(eladder.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = ("import sys, eladder.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"

@@ -1,6 +1,11 @@
-"""Sampling grids, the two integration routes, and moment extraction."""
+"""Sampling grids, the two integration routes, the real gauge of the dense
+route, and moment extraction."""
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eladder import (
     IntegrationError,
@@ -12,15 +17,16 @@ from eladder import (
     initial_plane_wave,
     matched_field,
 )
-from eladder.ladder import LadderState
+from eladder.constants import HBAR
+from eladder.ladder import LadderHamiltonian, LadderState, initial_gaussian
 from eladder.propagate import (
     DENSE_ORACLE_MAX_DIM,
     MomentSeries,
     PropagationConfig,
     Spectrogram,
+    _real_form,
     centroid_and_spread,
     dense_oracle_compare,
-    final_amplitudes,
     propagate,
 )
 
@@ -162,14 +168,77 @@ class TestGuards:
             propagate(small_h, state, cfg)
 
 
-class TestFinalState:
-    def test_matches_full_history_endpoint(self, small_h, small_state):
-        cfg = PropagationConfig(t_end=6.0, sample_interval=0.5, method="dense")
-        spec = propagate(small_h, small_state, cfg)
-        fin = final_amplitudes(small_h, small_state, 6.0, cfg)
-        assert fin.time == 6.0
-        assert np.isclose(np.linalg.norm(fin.amplitudes), 1.0, atol=1e-12)
-        assert np.abs(np.abs(fin.amplitudes) ** 2 - spec.populations[-1]).max() < 1e-9
+def complex_reference(h, a0, times):
+    """Populations from the complex eigendecomposition of the full matrix."""
+    energies, modes = np.linalg.eigh(h.to_dense())
+    weights = modes.conj().T @ a0
+    phases = np.exp(-1j * np.outer(energies, times - times[0]) / HBAR)
+    return (np.abs(modes @ (phases * weights[:, None])) ** 2).T
+
+
+def trap_packet(phase, offset, kind, n_max=32, t_end=8.0):
+    e = electron_from_energy(100.0)
+    f = matched_field(e, 1.0, 1.54, initial_phase=phase)
+    variant = ModelVariant.full() if kind == "full" else ModelVariant.simplified()
+    h = build_hamiltonian(e, f, variant, n_max)
+    state = initial_gaussian(n_max, 1.5, offset_phase=offset)
+    cfg = PropagationConfig(t_end=t_end, sample_interval=t_end / 8, method="dense")
+    return h, state, propagate(h, state, cfg)
+
+
+PHASES = st.floats(min_value=-math.pi, max_value=math.pi)
+
+
+class TestRealGauge:
+    @given(PHASES, PHASES, st.sampled_from(["full", "simplified"]),
+           st.sampled_from([16, 32, 64]))
+    @settings(max_examples=20, deadline=None)
+    def test_gauged_solve_matches_complex_solve(self, phase, offset, kind, n_max):
+        h, state, spec = trap_packet(phase, offset, kind, n_max)
+        assert _real_form(h) is not None
+        ref = complex_reference(h, state.amplitudes, spec.times)
+        assert np.abs(spec.populations - ref).max() < 1e-12
+
+    def test_hop_2_only_bands_are_gauged(self):
+        n_max = 12
+        dim = 2 * n_max + 1
+        h = LadderHamiltonian(n_max, np.linspace(-1.0, 2.0, dim),
+                              np.zeros(dim - 1, dtype=complex),
+                              np.full(dim - 2, 0.7 * np.exp(0.4j)),
+                              ModelVariant.full())
+        assert _real_form(h) is not None
+        state = initial_plane_wave(n_max)
+        spec = propagate(h, state, PropagationConfig(t_end=5.0, sample_interval=1.0))
+        ref = complex_reference(h, state.amplitudes, spec.times)
+        assert np.abs(spec.populations - ref).max() < 1e-12
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=6, deadline=None)
+    def test_generic_complex_bands_keep_the_complex_solve(self, seed):
+        rng = np.random.default_rng(seed)
+        n_max = int(rng.integers(4, 9))
+        dim = 2 * n_max + 1
+        h = LadderHamiltonian(
+            n_max, rng.normal(0.0, 1.0, dim),
+            rng.normal(0.0, 0.5, dim - 1) + 1j * rng.normal(0.0, 0.5, dim - 1),
+            rng.normal(0.0, 0.2, dim - 2) + 1j * rng.normal(0.0, 0.2, dim - 2),
+            ModelVariant.full())
+        assert _real_form(h) is None
+        amp = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        state = LadderState(amp / np.linalg.norm(amp), 0.0, n_max)
+        kw = dict(t_end=float(rng.uniform(0.3, 1.0)), sample_interval=0.25)
+        dense = propagate(h, state, PropagationConfig(method="dense", **kw))
+        banded = propagate(h, state, PropagationConfig(method="banded", **kw))
+        assert np.abs(dense.populations - banded.populations).max() < 1e-9
+
+    @given(PHASES, PHASES, PHASES, st.sampled_from(["full", "simplified"]))
+    @settings(max_examples=15, deadline=None)
+    def test_field_phase_is_a_gauge(self, phase, offset, alpha, kind):
+        """H(phi0 + alpha) = G^dagger H(phi0) G with G = diag(exp(i n alpha)),
+        so shifting the packet's linear phase by -alpha undoes the shift."""
+        _, _, base = trap_packet(phase, offset, kind, t_end=20.0)
+        _, _, moved = trap_packet(phase + alpha, offset - alpha, kind, t_end=20.0)
+        assert np.abs(base.populations - moved.populations).max() < 1e-10
 
 
 def handmade_spectrogram():
