@@ -12,7 +12,6 @@ Conventions used throughout:
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -410,8 +409,7 @@ def _auto_sized(sc: Scenario, cycles: float = 2.0) -> Scenario:
 
 
 def _evaluate_point(
-    base: Scenario, axis: str, value: float, observable: str,
-    threshold: float, auto_span: bool,
+    base: Scenario, axis: str, value: float, observable: str, threshold: float,
 ) -> float:
     sc = _scenario_at(base, axis, value)
     if observable == "rho":
@@ -419,9 +417,7 @@ def _evaluate_point(
         if cs.nath_rho is None:
             raise ValidationError("rho undefined at zero field")
         return cs.nath_rho
-    if auto_span:
-        sc = _auto_sized(sc)
-    spec = run_scenario(sc)
+    spec = run_scenario(_auto_sized(sc))
     if observable == "trap_width":
         return trap_width(spec, threshold).width
     if observable == "revival_period":
@@ -435,14 +431,12 @@ def sweep(
     base: Scenario,
     observable: str,
     threshold: float = POPULATION_THRESHOLD,
-    workers: int = 1,
-    auto_span: bool = True,
 ) -> list[SweepRow]:
     """Evaluate an observable along one parameter axis.
 
-    Rows come back ordered by grid index regardless of evaluation order.
-    Per-point failures are recorded in the row and the sweep continues; if
-    every point fails, SweepError carries the first message.
+    Rows come back in grid order.  Per-point failures are recorded in the
+    row and the sweep continues; if every point fails, SweepError carries
+    the first message.
     """
     if axis not in SWEEP_AXES:
         raise ValidationError(f"axis must be one of {SWEEP_AXES}")
@@ -452,22 +446,13 @@ def sweep(
     if not values:
         raise ValidationError("sweep grid is empty")
 
-    def job(item: tuple[int, float]) -> SweepRow:
-        i, v = item
+    rows = []
+    for i, v in enumerate(values):
         try:
-            result = _evaluate_point(base, axis, v, observable, threshold,
-                                     auto_span)
-            return SweepRow(i, axis, v, observable, result)
+            result = _evaluate_point(base, axis, v, observable, threshold)
+            rows.append(SweepRow(i, axis, v, observable, result))
         except (LadderError, ValueError) as exc:
-            return SweepRow(i, axis, v, observable, None, error=str(exc))
-
-    items = list(enumerate(values))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(job, items))
-    else:
-        rows = [job(it) for it in items]
-    rows.sort(key=lambda r: r.index)
+            rows.append(SweepRow(i, axis, v, observable, None, error=str(exc)))
     if all(r.error is not None for r in rows):
         raise SweepError(f"every grid point failed; first error: {rows[0].error}")
     return rows

@@ -14,7 +14,6 @@ exit with 2 as usual.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -148,9 +147,8 @@ def _parse_grid(text: str) -> np.ndarray:
 def cmd_sweep(args) -> int:
     cfg = _load_config(args.config)
     grid = _parse_grid(args.grid)
-    workers = int(os.environ.get("ELADDER_SWEEP_WORKERS", "1"))
     rows = sweep(args.axis, grid, cfg.scenario, args.observable,
-                 threshold=cfg.threshold, workers=max(1, workers))
+                 threshold=cfg.threshold)
     table = [
         [r.index, r.value,
          float("nan") if r.result is None else r.result,
@@ -207,7 +205,7 @@ def cmd_oracle_check(args) -> int:
                               f"max population error {worst:.3e} over "
                               f"{t_end:.3g} fs (limit 1e-06)")
 
-    # 2. Fixed-step integrator against exact diagonalization.
+    # 2. Banded Chebyshev series against exact diagonalization.
     n_cmp = min(sc.n_max or 64, 128)
     h = build_hamiltonian(electron, field, sc.variant, n_cmp)
     state = sc.initial.build(n_cmp, sc.photon_energy)

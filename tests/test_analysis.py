@@ -254,12 +254,6 @@ class TestSweep:
         # rho grows as the cube of the drive frequency
         assert rows[4].result / rows[0].result == pytest.approx(1e6, rel=1e-9)
 
-    def test_workers_do_not_change_results(self, base):
-        grid = np.geomspace(0.2, 20.0, 5)
-        serial = sweep("photon_energy", grid, base, "rho", workers=1)
-        threaded = sweep("photon_energy", grid, base, "rho", workers=4)
-        assert serial == threaded
-
     def test_bad_point_is_recorded_not_fatal(self, base):
         rows = sweep("energy", [100.0, -5.0, 50.0], base, "rho")
         assert rows[0].error is None

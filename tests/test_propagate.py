@@ -24,6 +24,7 @@ from eladder.propagate import (
     MomentSeries,
     PropagationConfig,
     Spectrogram,
+    _bessel_terms,
     _evolve_dense,
     _real_form,
     centroid_and_spread,
@@ -104,6 +105,8 @@ class TestRoutes:
                          PropagationConfig(t_end=1.0, sample_interval=0.5))
         assert spec.metadata["method"] == "banded"
         assert spec.metadata["max_norm_drift"] == 0.0
+        # a zero spectrum leaves one series term per span
+        assert spec.metadata["series_terms"] == len(spec.times) - 1
 
     def test_oracle_refuses_large_matrices(self):
         n_max = (DENSE_ORACLE_MAX_DIM - 1) // 2 + 1
@@ -116,6 +119,18 @@ class TestRoutes:
             dense_oracle_compare(small_h, small_state, 0.0)
 
 
+class TestBesselTerms:
+    @pytest.mark.parametrize("x", [0.3, 10.0, 150.0, 960.0, 4032.0])
+    def test_terms_match_scipy_bessel(self, x):
+        # 960 and 4032 sit where 2^ceil(log2(2x + 128)) FFT points alias
+        # J_(x+64)(x) of 4e-9 and 7e-6 into the terms kept
+        from scipy.special import jv
+        c = _bessel_terms(x, 1e-12)
+        k = np.arange(len(c))
+        assert np.abs(c - (-1j) ** k * jv(k, x)).max() < 1e-12
+        assert abs(jv(len(c), x)) < 1e-12 <= abs(jv(len(c) - 1, x))
+
+
 class TestQualityRecord:
     BASE_KEYS = {"n_max", "t_end", "sample_interval", "step_tolerance",
                  "norm_drift_limit", "max_norm_drift", "method"}
@@ -124,15 +139,27 @@ class TestQualityRecord:
         cfg = PropagationConfig(t_end=1.0, sample_interval=0.5, method="dense")
         spec = propagate(small_h, small_state, cfg)
         assert self.BASE_KEYS <= set(spec.metadata)
-        assert "rk4_steps" not in spec.metadata
+        assert "series_terms" not in spec.metadata
         assert spec.metadata["n_max"] == 8
         assert spec.metadata["t_end"] == 1.0
 
-    def test_banded_metadata_reports_refinement(self, small_h, small_state):
+    def test_banded_metadata_reports_series_terms(self, small_h, small_state):
         cfg = PropagationConfig(t_end=6.0, sample_interval=0.5, method="banded")
         spec = propagate(small_h, small_state, cfg)
-        assert spec.metadata["refinement_error"] < cfg.step_tolerance
-        assert spec.metadata["rk4_steps"] > 0
+        # at least one term per span
+        assert spec.metadata["series_terms"] >= len(spec.times) - 1
+        assert "refinement_error" not in spec.metadata
+
+    @pytest.mark.parametrize("tol", [1e-4, 1e-6])
+    def test_looser_tolerance_cuts_the_series_shorter(self, tol):
+        h, state, dense = trap_packet(0.3, 0.0, "full", n_max=32, t_end=8.0)
+        kw = dict(t_end=8.0, sample_interval=1.0, method="banded")
+        tight = propagate(h, state, PropagationConfig(**kw))
+        loose = propagate(h, state, PropagationConfig(
+            step_tolerance=tol, norm_drift_limit=tol, **kw))
+        assert loose.metadata["series_terms"] < tight.metadata["series_terms"]
+        assert np.abs(loose.populations - dense.populations).max() < tol
+        assert np.abs(tight.populations - dense.populations).max() < 1e-9
 
     def test_caller_metadata_is_merged(self, small_h, small_state):
         cfg = PropagationConfig(t_end=1.0, sample_interval=0.5, method="dense")
