@@ -212,8 +212,8 @@ def cmd_oracle_check(args) -> int:
     t_cmp = min(sc.propagation.t_end, 20.0)
     err = dense_oracle_compare(h, state, t_cmp)
     all_ok &= _check_line("stepper", err < 1e-6,
-                          f"final amplitude error {err:.3e} at {t_cmp:.3g} fs "
-                          f"(limit 1e-06)")
+                          f"max population difference {err:.3e} at "
+                          f"{t_cmp:.3g} fs (limit 1e-06)")
 
     # 3. Two-level reduction, only meaningful deep in the pair-coupled regime.
     if cs.nath_rho is not None and cs.nath_rho > 10.0:

@@ -4,7 +4,6 @@ Everything internal runs in electronvolt / femtosecond / nanometre units.
 In this system Hamiltonian entries are O(1) eV, times are O(1..1000) fs,
 and a field amplitude quoted in V/nm is numerically identical to the energy
 gradient e*E in eV/nm, so the elementary charge never appears explicitly.
-SI values enter only through the conversion helpers in `physics`.
 """
 
 HBAR = 0.6582119569          # reduced Planck constant, eV fs
@@ -12,7 +11,3 @@ REST_ENERGY = 510998.95      # electron rest energy m c^2, eV
 LIGHT_SPEED = 299.792458     # c, nm / fs
 ELECTRON_MASS = REST_ENERGY / LIGHT_SPEED**2    # eV fs^2 / nm^2
 
-# SI anchors for the conversion boundary (2019 SI exact values)
-JOULE_PER_EV = 1.602176634e-19
-METER_PER_NM = 1e-9
-SECOND_PER_FS = 1e-15

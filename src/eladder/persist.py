@@ -4,7 +4,10 @@ Two spectrogram formats:
 
 * delimited-text: a comma-separated table, header ``t_fs, n=-N, ..., n=+N``
   (2N+2 columns), one row per sample time, every value printed with nine
-  significant digits.  Easy to plot, lossy in the last digit.
+  significant digits.  Easy to plot, lossy in the last digit.  `_cell` is
+  the reference for how a value is printed; the export formats rows in
+  chunks with numpy, byte for byte as `_cell` would, and streams each chunk
+  to the file, so no whole-table string is ever built.
 * structured-record: a JSON document carrying the full-precision arrays,
   the run metadata, the tool version, and a sha256 content hash.  Importing
   it reproduces the populations exactly, and reruns of the same
@@ -35,14 +38,15 @@ TEXT_FORMAT = "delimited-text"
 JSON_FORMAT = "structured-record"
 
 
-def _atomic_write_text(path: Path, text: str) -> None:
+def _atomic_write_text(path: Path, chunks) -> None:
+    """Write the strings in `chunks` to `path` via a temp file and a rename."""
     tmp = None
     try:
         fd, tmp = tempfile.mkstemp(
             dir=str(path.parent), prefix=f".{path.name}.", suffix=".tmp"
         )
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
         os.replace(tmp, path)
         tmp = None
     except OSError as exc:
@@ -61,6 +65,10 @@ def _cell(value) -> str:
     return str(value)
 
 
+def _line(row) -> str:
+    return ", ".join(_cell(v) for v in row)
+
+
 def render_table(headers, rows) -> str:
     """Comma-separated table with 9-significant-digit floats."""
     width = len(headers)
@@ -70,26 +78,97 @@ def render_table(headers, rows) -> str:
             raise ExportError(
                 f"table row has {len(row)} cells, header has {width}"
             )
-        lines.append(", ".join(_cell(v) for v in row))
+        lines.append(_line(row))
     return "\n".join(lines) + "\n"
 
 
 def write_table(path, headers, rows) -> None:
-    _atomic_write_text(Path(path), render_table(headers, rows))
+    _atomic_write_text(Path(path), [render_table(headers, rows)])
+
+
+# Cells formatted per chunk of a text export.  The chunk's arrays stay
+# within a few hundred kB, while numpy's per-call cost is spread over
+# enough values to be negligible.
+_CHUNK_CELLS = 1 << 14
+
+# Bytes per cell in the formatting buffer: sign, digit, ".", 8 digits, "e",
+# exponent sign, 3 exponent digits and a 2-byte separator.  A zero byte is
+# padding (no minus sign, a 2-digit exponent, the line end) and is dropped.
+_SLOT = 18
+
+
+def _ascii(buf: np.ndarray) -> str:
+    return buf[buf != 0].tobytes().decode("ascii")
+
+
+def _format_rows(block: np.ndarray) -> str:
+    """Rows of float64 `block` as text lines, each equal to `_line(row)`.
+
+    Each value is printed from its decimal exponent and a 9-digit integer
+    mantissa, got by one scaling and rounded with numpy.  That equals
+    Python's correctly rounded "%.8e" whenever the scaled value lies well
+    clear of a rounding tie.  A row holding any value this cannot place
+    with certainty -- within 1e-5 of a tie, nonzero |v| outside
+    [1e-300, 1e300), NaN or infinite -- is printed by `_cell` instead.
+    """
+    rows, cols = block.shape
+    mag = np.abs(block)
+    normal = (mag >= 1e-300) & (mag < 1e300)
+    safe = np.where(normal, mag, 1.0)
+    exp = np.floor(np.log10(safe))
+    scaled = safe * 10.0 ** (8.0 - exp)
+    # log10 may land one decade off next to a power of ten
+    exp += (scaled >= 1e9).astype(float) - (scaled < 1e8)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = safe * 10.0 ** (8.0 - exp)
+        tie_gap = np.abs(scaled - np.floor(scaled) - 0.5)
+    sure = (normal & (scaled >= 1e8) & (scaled < 1e9) & (tie_gap > 1e-5))
+    mant = np.where(sure, np.rint(scaled), 0.0)
+    carry = mant == 1e9  # 9.999999995... prints as 1.00000000e(exp + 1)
+    mant = np.where(carry, 1e8, mant).astype(np.int64)
+    exp = np.where(sure, exp + carry, 0.0).astype(np.int64)
+    sure |= mag == 0.0  # a zero mantissa and exponent print +-0.00000000e+00
+
+    buf = np.empty((rows, cols, _SLOT), np.uint8)
+    buf[..., 0] = np.where(np.signbit(block), ord("-"), 0)
+    buf[..., 2] = ord(".")
+    for pos in (10, 9, 8, 7, 6, 5, 4, 3, 1):  # last digit first
+        mant, digit = np.divmod(mant, 10)
+        buf[..., pos] = digit + ord("0")
+    buf[..., 11] = ord("e")
+    buf[..., 12] = np.where(exp < 0, ord("-"), ord("+"))
+    exp = np.abs(exp)
+    buf[..., 13] = np.where(exp >= 100, exp // 100 + ord("0"), 0)
+    buf[..., 14] = exp // 10 % 10 + ord("0")
+    buf[..., 15] = exp % 10 + ord("0")
+    buf[..., 16] = ord(",")
+    buf[..., 17] = ord(" ")
+    buf[:, -1, 16] = ord("\n")
+    buf[:, -1, 17] = 0
+
+    lines = buf.reshape(rows, cols * _SLOT)
+    parts, start = [], 0
+    for r in np.flatnonzero(~sure.all(axis=1)).tolist():
+        parts.append(_ascii(lines[start:r]))
+        parts.append(_line(block[r].tolist()) + "\n")
+        start = r + 1
+    parts.append(_ascii(lines[start:]))
+    return "".join(parts)
 
 
 def _column_name(n: int) -> str:
     return "n=0" if n == 0 else f"n={n:+d}"
 
 
-def render_text(spec: Spectrogram) -> str:
+def _text_chunks(spec: Spectrogram):
+    """The delimited-text table of `spec`, as a header and row chunks."""
     names = [_column_name(int(n)) for n in spec.sideband_indices]
-    headers = ["t_fs"] + names
-    rows = [
-        [float(t)] + [float(p) for p in row]
-        for t, row in zip(spec.times, spec.populations)
-    ]
-    return render_table(headers, rows)
+    yield ", ".join(["t_fs"] + names) + "\n"
+    step = max(1, _CHUNK_CELLS // (spec.populations.shape[1] + 1))
+    for start in range(0, len(spec.times), step):
+        stop = start + step
+        yield _format_rows(np.column_stack(
+            (spec.times[start:stop], spec.populations[start:stop])))
 
 
 def parse_text(text: str) -> Spectrogram:
@@ -191,14 +270,14 @@ def export_spectrogram(spec: Spectrogram, path, format: str = JSON_FORMAT,
                        config_echo: str | None = None) -> None:
     """Write `spec` to `path` in the requested format."""
     if format == TEXT_FORMAT:
-        text = render_text(spec)
+        chunks = _text_chunks(spec)
     elif format == JSON_FORMAT:
-        text = render_record(spec, config_echo)
+        chunks = [render_record(spec, config_echo)]
     else:
         raise ExportError(
             f"unknown format {format!r} (use {TEXT_FORMAT} or {JSON_FORMAT})"
         )
-    _atomic_write_text(Path(path), text)
+    _atomic_write_text(Path(path), chunks)
 
 
 def import_spectrogram(path) -> Spectrogram:
@@ -246,9 +325,9 @@ def write_bundle(out_dir, stem: str, spec: Spectrogram, config_echo: str,
         "content_hash": digest,
         "analysis": _jsonable(analysis),
     }
-    _atomic_write_text(analysis_path, json.dumps(report, indent=2,
-                                                 sort_keys=True) + "\n")
-    _atomic_write_text(config_path, config_echo)
+    _atomic_write_text(analysis_path, [json.dumps(report, indent=2,
+                                                  sort_keys=True) + "\n"])
+    _atomic_write_text(config_path, [config_echo])
     return OutputBundle(
         spectrogram_path=spec_path,
         analysis_path=analysis_path,

@@ -28,11 +28,8 @@ from dataclasses import dataclass
 from .constants import (
     ELECTRON_MASS,
     HBAR,
-    JOULE_PER_EV,
     LIGHT_SPEED,
-    METER_PER_NM,
     REST_ENERGY,
-    SECOND_PER_FS,
 )
 from .errors import ValidationError
 
@@ -130,41 +127,6 @@ def electron_from_energy(kinetic_energy: float) -> ElectronParams:
     velocity = LIGHT_SPEED * math.sqrt(1.0 - 1.0 / gamma**2)
     momentum = gamma * ELECTRON_MASS * velocity
     return ElectronParams(kinetic_energy, momentum, velocity, gamma)
-
-
-def electron_from_momentum(momentum: float) -> ElectronParams:
-    """Build electron kinematics from the momentum in eV fs / nm."""
-    if momentum <= 0:
-        raise ValidationError("momentum must be positive")
-    total = math.hypot(REST_ENERGY, momentum * LIGHT_SPEED)
-    gamma = total / REST_ENERGY
-    velocity = momentum / (gamma * ELECTRON_MASS)
-    return ElectronParams(total - REST_ENERGY, momentum, velocity, gamma)
-
-
-def kinetic_energy_of_momentum(momentum: float) -> float:
-    """Exact relativistic kinetic energy for a momentum in eV fs / nm."""
-    return math.hypot(REST_ENERGY, momentum * LIGHT_SPEED) - REST_ENERGY
-
-
-def electron_to_si(e: ElectronParams) -> dict[str, float]:
-    """Express the electron parameters in SI units (J, kg m/s, m/s)."""
-    return {
-        "kinetic_energy_joule": e.kinetic_energy * JOULE_PER_EV,
-        "momentum_kg_m_per_s": e.momentum * JOULE_PER_EV * SECOND_PER_FS / METER_PER_NM,
-        "velocity_m_per_s": e.velocity * METER_PER_NM / SECOND_PER_FS,
-        "lorentz_factor": e.lorentz_factor,
-    }
-
-
-def electron_from_si(values: dict[str, float]) -> ElectronParams:
-    """Inverse of electron_to_si."""
-    return ElectronParams(
-        values["kinetic_energy_joule"] / JOULE_PER_EV,
-        values["momentum_kg_m_per_s"] / (JOULE_PER_EV * SECOND_PER_FS / METER_PER_NM),
-        values["velocity_m_per_s"] / (METER_PER_NM / SECOND_PER_FS),
-        values["lorentz_factor"],
-    )
 
 
 def photon_energy_from_wavelength(wavelength: float) -> float:
@@ -277,8 +239,8 @@ def critical_angle_cosine(
         (v_p / v) * (1 + (hw / 2E) * (1 - (c / v_p)^2))
 
     with E the total relativistic energy.  The result may lie outside
-    [-1, 1]; that is meaningful output (no allowed angle) and is NOT
-    clamped.  Use `angle_is_allowed` to test it.
+    [-1, 1]; that is meaningful output (no real angle exists) and is NOT
+    clamped, so test -1 <= cosine <= 1 before taking an arccos.
     """
     if phase_velocity <= 0:
         raise ValidationError("phase velocity must be positive")
@@ -288,14 +250,3 @@ def critical_angle_cosine(
     )
     return (phase_velocity / e.velocity) * (1.0 + correction)
 
-
-def critical_angle_cosine_fast(e: ElectronParams, phase_velocity: float) -> float:
-    """Recoil-free limit of `critical_angle_cosine`: just v_p / v."""
-    if phase_velocity <= 0:
-        raise ValidationError("phase velocity must be positive")
-    return phase_velocity / e.velocity
-
-
-def angle_is_allowed(cosine: float) -> bool:
-    """Whether a critical-angle cosine corresponds to a real angle."""
-    return -1.0 <= cosine <= 1.0

@@ -3,20 +3,25 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from eladder import ExportError, __version__
+from eladder import ExportError, __version__, persist
 from eladder.config import parse_config, render_config
 from eladder.persist import (
     JSON_FORMAT,
     RECORD_FORMAT,
     TEXT_FORMAT,
+    _atomic_write_text,
+    _cell,
+    _format_rows,
+    _text_chunks,
     export_spectrogram,
     import_spectrogram,
     parse_record,
     parse_text,
     render_record,
     render_table,
-    render_text,
     spectrogram_hash,
     write_bundle,
     write_table,
@@ -30,6 +35,10 @@ from conftest import trap_scenario
 @pytest.fixture(scope="module")
 def small_spec():
     return run_scenario(trap_scenario(InitialSpec(), 16, 2.0, 0.5))
+
+
+def render_text(spec):
+    return "".join(_text_chunks(spec))
 
 
 class TestTable:
@@ -78,6 +87,70 @@ class TestTextFormat:
         lines[2] = lines[2].rsplit(",", 1)[0]
         with pytest.raises(ExportError, match="ragged"):
             parse_text("\n".join(lines))
+
+
+class TestTextFormatter:
+    """The numpy formatter against `_cell`, the reference "%.8e" cell."""
+
+    @staticmethod
+    def assert_matches_cell(values):
+        # one value per row, so a fallback row covers only its own value
+        column = np.array(values, dtype=float).reshape(-1, 1)
+        assert _format_rows(column) == "".join(
+            _cell(v) + "\n" for v in column[:, 0].tolist())
+
+    @given(st.lists(st.floats(), min_size=1, max_size=24))
+    def test_equals_cell_on_any_float(self, values):
+        self.assert_matches_cell(values)
+        row = np.array([values])
+        assert _format_rows(row) == ", ".join(
+            _cell(v) for v in values) + "\n"
+
+    def test_powers_of_ten_ties_and_edges(self):
+        values = []
+        for k in range(-300, 301):
+            p = 10.0 ** k
+            values += [p, np.nextafter(p, 0.0), np.nextafter(p, np.inf)]
+        for k in range(7):  # exactly representable rounding ties
+            values += [(d + 0.5) * 10.0 ** k
+                       for d in (100000000, 123456788, 123456789, 999999999)]
+        values += [9.9999999951, 9.999999996e-5,  # carry into the exponent
+                   1e-100, 1e99, 5e-324, 2.2250738585072014e-308, 0.0]
+        self.assert_matches_cell(values + [-v for v in values])
+
+    def test_export_matches_render_table_across_chunks(self, tmp_path,
+                                                       monkeypatch):
+        spec = run_scenario(trap_scenario(InitialSpec(), 96, 1.0, 0.002))
+        rows, cols = spec.populations.shape
+        assert rows > 3 * persist._CHUNK_CELLS // (cols + 1)
+        assert spec.populations.min() < 1e-99
+        fallback_rows = []
+        line = persist._line
+        monkeypatch.setattr(persist, "_line",
+                            lambda row: fallback_rows.append(1) or line(row))
+        path = tmp_path / "spec.txt"
+        export_spectrogram(spec, path, TEXT_FORMAT)
+        monkeypatch.undo()
+        headers = ["t_fs"] + [("n=0" if n == 0 else f"n={n:+d}")
+                              for n in range(-96, 97)]
+        expected = render_table(headers, [
+            [t] + row for t, row in zip(spec.times.tolist(),
+                                        spec.populations.tolist())])
+        assert path.read_bytes() == expected.encode("ascii")
+        assert len(fallback_rows) <= rows // 100
+
+    def test_failed_chunk_source_keeps_the_old_file(self, tmp_path):
+        target = tmp_path / "table.txt"
+        target.write_text("old\n")
+
+        def chunks():
+            yield "t_fs, n=0\n"
+            raise RuntimeError("source failed")
+
+        with pytest.raises(RuntimeError, match="source failed"):
+            _atomic_write_text(target, chunks())
+        assert target.read_text() == "old\n"
+        assert list(tmp_path.iterdir()) == [target]
 
 
 class TestRecordFormat:

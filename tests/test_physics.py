@@ -25,17 +25,10 @@ from eladder import (
 from eladder.constants import (
     ELECTRON_MASS,
     HBAR,
-    JOULE_PER_EV,
     LIGHT_SPEED,
     REST_ENERGY,
 )
 from eladder.physics import (
-    angle_is_allowed,
-    critical_angle_cosine_fast,
-    electron_from_momentum,
-    electron_from_si,
-    electron_to_si,
-    kinetic_energy_of_momentum,
     ponderomotive_ratio,
     recoil_ratio,
     wrap_phase,
@@ -66,33 +59,11 @@ class TestKinematics:
         inv = total**2 - (e.momentum * LIGHT_SPEED) ** 2
         assert inv == pytest.approx(REST_ENERGY**2, rel=1e-12)
 
-    @given(st.floats(min_value=0.5, max_value=5e5))
-    @settings(max_examples=60, deadline=None)
-    def test_momentum_round_trip(self, energy):
-        e = electron_from_energy(energy)
-        back = electron_from_momentum(e.momentum)
-        assert back.kinetic_energy == pytest.approx(energy, rel=1e-9)
-        assert kinetic_energy_of_momentum(e.momentum) == pytest.approx(
-            energy, rel=1e-9)
-
-    def test_si_round_trip(self):
-        e = electron_from_energy(100.0)
-        si = electron_to_si(e)
-        assert si["kinetic_energy_joule"] == pytest.approx(
-            100.0 * JOULE_PER_EV, rel=1e-15)
-        # a 100 eV electron moves at a few thousand km/s
-        assert 5.8e6 < si["velocity_m_per_s"] < 6.0e6
-        back = electron_from_si(si)
-        assert back.kinetic_energy == pytest.approx(100.0, rel=1e-12)
-        assert back.momentum == pytest.approx(e.momentum, rel=1e-12)
-
     def test_rejects_nonpositive_energy(self):
         with pytest.raises(ValidationError):
             electron_from_energy(0.0)
         with pytest.raises(ValidationError):
             electron_from_energy(-5.0)
-        with pytest.raises(ValidationError):
-            electron_from_momentum(-1.0)
 
 
 class TestMatching:
@@ -226,8 +197,6 @@ class TestCriticalAngle:
         # the photon-recoil correction uses the total relativistic energy
         e = electron_from_energy(100.0)
         vp = 0.5 * e.velocity
-        fast = critical_angle_cosine_fast(e, vp)
-        assert fast == pytest.approx(0.5, rel=1e-15)
         full = critical_angle_cosine(e, 1.54, vp)
         total = e.lorentz_factor * REST_ENERGY
         corr = (1.54 / (2.0 * total)) * (1.0 - (LIGHT_SPEED / vp) ** 2)
@@ -243,18 +212,13 @@ class TestCriticalAngle:
         e = electron_from_energy(100.0)
         c = critical_angle_cosine(e, 1.54, e.velocity)
         assert c == pytest.approx(0.9961, abs=2e-4)
-        assert angle_is_allowed(c)
 
     def test_value_not_clamped(self):
         # a phase velocity above the beam velocity gives cos > 1: no real
         # angle, and the function must report the raw value
         e = electron_from_energy(100.0)
-        c = critical_angle_cosine_fast(e, 2.0 * e.velocity)
+        c = critical_angle_cosine(e, 0.0, 2.0 * e.velocity)
         assert c == pytest.approx(2.0, rel=1e-15)
-        assert not angle_is_allowed(c)
-        assert angle_is_allowed(0.3)
-        assert angle_is_allowed(1.0)
-        assert not angle_is_allowed(-1.5)
 
 
 class TestWavelength:
