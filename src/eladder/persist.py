@@ -86,9 +86,9 @@ def write_table(path, headers, rows) -> None:
     _atomic_write_text(Path(path), [render_table(headers, rows)])
 
 
-# Cells formatted per chunk of a text export.  The chunk's arrays stay
-# within a few hundred kB, while numpy's per-call cost is spread over
-# enough values to be negligible.
+# Cells formatted per chunk of a text export.  Each of a chunk's arrays
+# stays near 128 kB, while numpy's per-call cost is spread over enough
+# values to be negligible.
 _CHUNK_CELLS = 1 << 14
 
 # Bytes per cell in the formatting buffer: sign, digit, ".", 8 digits, "e",
