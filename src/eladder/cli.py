@@ -8,8 +8,9 @@ Subcommands:
   figure       regenerate the pinned data files for a named figure
 
 Exit codes: 0 success, 2 configuration or validation problem, 3 numerical
-failure (integration, span, sweep), 4 I/O failure.  Argparse usage errors
-exit with 2 as usual.
+failure (integration, span, sweep, out of memory), 4 I/O failure.  Each
+package error carries its own category and exit code.  Argparse usage
+errors exit with 2 as usual.
 """
 from __future__ import annotations
 
@@ -31,17 +32,7 @@ from .analysis import (
     trap_width,
 )
 from .config import RunConfig, parse_config, render_config
-from .errors import (
-    ConfigError,
-    ExportError,
-    InsufficientSpanError,
-    IntegrationError,
-    LadderError,
-    ResourceLimitError,
-    SweepError,
-    TruncationError,
-    ValidationError,
-)
+from .errors import ConfigError, ExportError, InsufficientSpanError, LadderError
 from .figures import FIGURES, make_figure
 from .ladder import ModelVariant, build_hamiltonian, initial_plane_wave
 from .oracles import (
@@ -54,20 +45,8 @@ from .physics import coupling_set
 from .propagate import PropagationConfig, dense_oracle_compare, propagate
 from .scenario import InitialSpec, run_scenario
 
-VALIDATION_EXIT = 2
 NUMERICAL_EXIT = 3
 IO_EXIT = 4
-
-_CATEGORY = {
-    ConfigError: ("validation", VALIDATION_EXIT),
-    ValidationError: ("validation", VALIDATION_EXIT),
-    TruncationError: ("numerical", NUMERICAL_EXIT),
-    ResourceLimitError: ("numerical", NUMERICAL_EXIT),
-    IntegrationError: ("numerical", NUMERICAL_EXIT),
-    InsufficientSpanError: ("numerical", NUMERICAL_EXIT),
-    SweepError: ("numerical", NUMERICAL_EXIT),
-    ExportError: ("io", IO_EXIT),
-}
 
 
 def _load_config(path: str) -> RunConfig:
@@ -195,7 +174,7 @@ def cmd_oracle_check(args) -> int:
         state = initial_plane_wave(n_chk)
         spec = propagate(h, state, PropagationConfig(
             t_end=t_end, sample_interval=t_end / 16.0))
-        sol = BesselSolution(cs.kappa_mag, field.initial_phase)
+        sol = BesselSolution(cs.kappa_mag)
         worst = 0.0
         orders = np.arange(-n_chk, n_chk + 1)
         for i, t in enumerate(spec.times):
@@ -314,13 +293,12 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except LadderError as exc:
-        category, code = "validation", VALIDATION_EXIT
-        for klass, (cat, exit_code) in _CATEGORY.items():
-            if isinstance(exc, klass):
-                category, code = cat, exit_code
-                break
-        print(f"error: category={category} {exc}", file=sys.stderr)
-        return code
+        print(f"error: category={exc.category} {exc}", file=sys.stderr)
+        return exc.exit_code
+    except MemoryError as exc:
+        print(f"error: category=numerical out of memory: "
+              f"{str(exc) or 'allocation failed'}", file=sys.stderr)
+        return NUMERICAL_EXIT
     except OSError as exc:
         print(f"error: category=io {exc}", file=sys.stderr)
         return IO_EXIT

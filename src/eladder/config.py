@@ -2,8 +2,8 @@
 
 Grammar: one `key = value` per line, `#` starts a comment, keys are
 dotted lowercase names.  Every physical quantity carries a unit token
-("field.amplitude = 1.0 V/nm"); a missing or wrong-dimension unit is a
-parse error naming the key.  Unknown keys are rejected.  Parsing applies
+("field.amplitude = 1.0 V/nm"); a missing or wrong-dimension unit, or a
+number that is not finite, is a parse error naming the key.  Unknown keys are rejected.  Parsing applies
 all defaults, and `render_config` writes the fully resolved configuration
 back out in canonical form; feeding that echo through `parse_config`
 reproduces the RunConfig exactly.
@@ -125,13 +125,19 @@ def _quantity(key: str, raw: str, dimension: str) -> float:
         value = float(number)
     except ValueError:
         raise ConfigError(f"{key}: bad number {number!r}") from None
-    return value * UNITS[dimension][unit]
+    return _finite(key, raw, value * UNITS[dimension][unit])
+
+
+def _finite(key: str, raw: str, value: float) -> float:
+    if not math.isfinite(value):
+        raise ConfigError(f"{key}: {raw!r} is not a finite number")
+    return value
 
 
 def _plain(key: str, raw: str, kind: str, extra=None):
     if kind == "number":
         try:
-            return float(raw)
+            return _finite(key, raw, float(raw))
         except ValueError:
             raise ConfigError(f"{key}: bad number {raw!r}") from None
     if kind == "int":

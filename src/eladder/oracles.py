@@ -27,7 +27,6 @@ class BesselSolution:
     """Hopping-only closed form, parameterized by the hop magnitude."""
 
     kappa_mag: float
-    phase: float = 0.0
 
     def __post_init__(self) -> None:
         if self.kappa_mag < 0:
@@ -40,8 +39,8 @@ class BesselSolution:
 def bessel_population(sol: BesselSolution, n, t: float):
     """P_n(t) = J_n(2 |kappa| t / hbar)^2.
 
-    `n` may be a scalar or an integer array; the phase drops out of the
-    populations entirely.
+    `n` may be a scalar or an integer array; the field phase drops out of
+    the populations entirely.
     """
     from scipy.special import jv  # local: keeps scipy out of the CLI import
 
@@ -101,17 +100,12 @@ def pendellosung_population(sol: TwoLevelSolution, t) -> tuple:
 
 
 def two_level_reduction(
-    h: LadderHamiltonian, pair: tuple[int, int] = (1, -1), route: str = "bridge"
+    h: LadderHamiltonian, pair: tuple[int, int] = (1, -1)
 ) -> TwoLevelSolution:
     """Build the effective two-level model for a sideband pair.
 
-    route "bridge": second-order coupling through the site midway between
-    the pair, Omega = |h(a,m)| |h(m,b)| / (E_a - E_m) with m the midpoint.
-    route "direct": the next-nearest-neighbour band element that couples
-    the pair in one step (only defined for |a - b| = 2).
-
-    The bridge route is the one that reproduces the simulated oscillation;
-    the direct route exists to make that comparison honest.
+    The pair couples in second order through the site midway between it,
+    Omega = |h(a,m)| |h(m,b)| / (E_a - E_m) with m the midpoint.
     """
     a, b = pair
     if abs(a) > h.n_max or abs(b) > h.n_max:
@@ -119,21 +113,12 @@ def two_level_reduction(
     ia, ib = a + h.n_max, b + h.n_max
     gap = float(h.diagonal[ia] - h.diagonal[ib])
 
-    if route == "direct":
-        if abs(a - b) != 2:
-            raise ValidationError("direct route needs a pair two sites apart")
-        lo = min(ia, ib)
-        coupling = abs(complex(h.hop_2[lo]))
-        return TwoLevelSolution(coupling, gap, (a, b))
-
-    if route != "bridge":
-        raise ValidationError(f"unknown route {route!r}")
     if (a + b) % 2 != 0:
-        raise ValidationError("bridge route needs a pair with an integer midpoint")
+        raise ValidationError("the pair needs an integer midpoint")
     m = (a + b) // 2
     im = m + h.n_max
     if abs(a - m) != 1:
-        raise ValidationError("bridge route expects nearest-neighbour legs")
+        raise ValidationError("the pair must be two sites apart")
 
     def hop(i: int, j: int) -> complex:
         lo = min(i, j)

@@ -1,26 +1,26 @@
 """Time evolution of ladder states under a constant banded Hamiltonian.
 
-Two independent integration paths are provided on purpose:
+One production route and one independent oracle:
 
-* "dense": diagonalize the Hermitian matrix once (numpy.linalg.eigh) and
-  apply exp(-i H t / hbar) exactly at every sample time.  Exact up to
-  eigensolver roundoff; cost grows with the matrix dimension cubed.
-  The field phase enters a physical ladder only as a gauge: with
-  d_n = exp(i n theta), conj(d) H d has the bands hop_1 exp(i theta) and
-  hop_2 exp(2 i theta).  theta is read off the largest hop_1 entry (half
-  the argument of the largest hop_2 entry when hop_1 vanishes), which
-  makes both bands real, so the solve runs on a real symmetric matrix and
-  the samples are rebuilt with real products and one final row phase d.
-  Bands whose imaginary residue after this gauge exceeds GAUGE_RESIDUE
-  relative to the largest band entry (generic complex bands) take the
-  complex eigensolver instead.
-* "banded": a Chebyshev series of exp(-i H span / hbar) on the three bands
-  (Tal-Ezer and Kosloff, J. Chem. Phys. 81, 3967, 1984), one per sample
-  span.  H is scaled by its Gershgorin bound R, so the coefficients are
-  (-i)^k J_k(R span / hbar), and the series is cut after its last Bessel
-  term of magnitude step_tolerance / (number of spans) or more.
-  Deterministic by construction: no adaptive controller state, no
-  randomness.
+* "dense", which "auto" always picks: diagonalize the Hermitian matrix once
+  (one numpy.linalg.eigh call) and apply exp(-i H t / hbar) exactly at
+  every sample time.  Exact up to eigensolver roundoff; cost grows with the
+  matrix dimension cubed.  The field phase enters a physical ladder only as
+  a gauge: with d_n = exp(i n theta), conj(d) H d has the bands
+  hop_1 exp(i theta) and hop_2 exp(2 i theta).  theta is read off the
+  largest hop_1 entry (half the argument of the largest hop_2 entry when
+  hop_1 vanishes), which makes both bands real, so the solve runs on a real
+  symmetric matrix and the samples are rebuilt with real products and one
+  final row phase d.  Bands whose imaginary residue after this gauge
+  exceeds GAUGE_RESIDUE relative to the largest band entry (generic complex
+  bands) are solved as the complex matrix, with theta = 0.
+* "banded", the oracle, run only when asked for by name: a Chebyshev series
+  of exp(-i H span / hbar) on the three bands (Tal-Ezer and Kosloff, J.
+  Chem. Phys. 81, 3967, 1984), one per sample span.  H is scaled by its
+  Gershgorin bound R, so the coefficients are (-i)^k J_k(R span / hbar),
+  and the series is cut after its last Bessel term of magnitude
+  step_tolerance / (number of spans) or more.  Deterministic by
+  construction: no adaptive controller state, no randomness.
 
 Norm drift is measured and asserted against norm_drift_limit, never hidden
 by renormalization; the drift series rides along in the Spectrogram.
@@ -33,10 +33,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constants import HBAR
-from .errors import IntegrationError, ResourceLimitError, ValidationError
+from .errors import IntegrationError, ValidationError
 from .ladder import LadderHamiltonian, LadderState
 
-DENSE_ORACLE_MAX_DIM = 1025
 GAUGE_RESIDUE = 1e-12
 
 
@@ -45,10 +44,10 @@ class PropagationConfig:
     """How to run one propagation.
 
     t_end is the duration measured from the state's own time.  method is
-    "dense", "banded", or "auto" (dense while the matrix stays within the
-    oracle dimension, banded above).  step_tolerance bounds the Bessel
-    terms the banded route drops over the whole run; the dense route is
-    exact and ignores it.
+    "auto" or "dense" (both the eigensolve, at every size) or "banded"
+    (the Chebyshev-series oracle).  step_tolerance bounds the Bessel terms
+    the banded route drops over the whole run; the dense route is exact
+    and ignores it.
     """
 
     t_end: float
@@ -58,9 +57,9 @@ class PropagationConfig:
     norm_drift_limit: float = 1e-8
 
     def __post_init__(self) -> None:
-        if self.t_end <= 0 or self.sample_interval <= 0:
+        if not (self.t_end > 0) or not (self.sample_interval > 0):
             raise ValidationError("t_end and sample_interval must be positive")
-        if self.step_tolerance <= 0 or self.norm_drift_limit <= 0:
+        if not (self.step_tolerance > 0) or not (self.norm_drift_limit > 0):
             raise ValidationError("tolerances must be positive")
         if self.method not in ("dense", "banded", "auto"):
             raise ValidationError(f"unknown method {self.method!r}")
@@ -84,11 +83,6 @@ class Spectrogram:
     def sideband_indices(self) -> np.ndarray:
         return np.arange(-self.n_max, self.n_max + 1)
 
-    def row_at(self, time: float) -> np.ndarray:
-        """Population row at the sample closest to `time`."""
-        i = int(np.argmin(np.abs(self.times - time)))
-        return self.populations[i]
-
 
 def _sample_times(t0: float, cfg: PropagationConfig) -> np.ndarray:
     n_whole = int(np.floor(cfg.t_end / cfg.sample_interval + 1e-9))
@@ -99,9 +93,10 @@ def _sample_times(t0: float, cfg: PropagationConfig) -> np.ndarray:
     return times
 
 
-def _real_form(h: LadderHamiltonian) -> tuple[float, np.ndarray] | None:
+def _real_form(h: LadderHamiltonian) -> tuple[float, np.ndarray]:
     """theta and conj(d) H d, d_n = exp(i n theta), as a real symmetric
-    matrix; None when no theta makes both hop bands real to GAUGE_RESIDUE."""
+    matrix; (0.0, the complex matrix) when no theta makes both hop bands
+    real to GAUGE_RESIDUE."""
     if np.any(h.hop_1):
         theta = -float(np.angle(h.hop_1[np.argmax(np.abs(h.hop_1))]))
     else:
@@ -111,7 +106,7 @@ def _real_form(h: LadderHamiltonian) -> tuple[float, np.ndarray] | None:
     scale = max(np.abs(b).max() for b in (h.diagonal, hop_1, hop_2))
     residue = max(np.abs(hop_1.imag).max(), np.abs(hop_2.imag).max())
     if residue > GAUGE_RESIDUE * scale:
-        return None
+        return 0.0, h.to_dense()
     m = np.zeros((h.dim, h.dim))
     i = np.arange(h.dim)
     m[i, i] = h.diagonal
@@ -123,19 +118,15 @@ def _real_form(h: LadderHamiltonian) -> tuple[float, np.ndarray] | None:
 
 
 def _evolve_dense(h: LadderHamiltonian, a0: np.ndarray, times: np.ndarray) -> np.ndarray:
-    spans = times - times[0]
-    real = _real_form(h)
-    if real is None:
-        energies, modes = np.linalg.eigh(h.to_dense())
-        weights = modes.conj().T @ a0
-        phases = np.exp(-1j * np.outer(energies, spans) / HBAR)
-        return (modes @ (phases * weights[:, None])).T
-    theta, m = real
+    theta, m = _real_form(h)
     d = np.exp(1j * theta * np.arange(h.dim))
     energies, modes = np.linalg.eigh(m)
-    weights = modes.T @ (d.conj() * a0)
-    c = np.exp(-1j * np.outer(energies, spans) / HBAR) * weights[:, None]
-    amplitudes = modes @ c.real + 1j * (modes @ c.imag)
+    weights = modes.conj().T @ (d.conj() * a0)
+    c = np.exp(-1j * np.outer(energies, times - times[0]) / HBAR) * weights[:, None]
+    if np.iscomplexobj(modes):
+        amplitudes = modes @ c
+    else:
+        amplitudes = modes @ c.real + 1j * (modes @ c.imag)
     amplitudes *= d[:, None]
     return amplitudes.T
 
@@ -203,9 +194,7 @@ def propagate(
             f"Hamiltonian dimension {h.dim}"
         )
     times = _sample_times(s0.time, cfg)
-    method = cfg.method
-    if method == "auto":
-        method = "dense" if h.dim <= DENSE_ORACLE_MAX_DIM else "banded"
+    method = "banded" if cfg.method == "banded" else "dense"
 
     quality: dict = {"method": method}
     if method == "dense":
@@ -245,16 +234,7 @@ def propagate(
 
 def dense_oracle_compare(h: LadderHamiltonian, s0: LadderState, t: float) -> float:
     """Max-abs population discrepancy between the banded series and the
-    dense eigendecomposition at time t.
-
-    The dense path is only feasible for small matrices; dimensions above
-    DENSE_ORACLE_MAX_DIM raise ResourceLimitError.
-    """
-    if h.dim > DENSE_ORACLE_MAX_DIM:
-        raise ResourceLimitError(
-            f"dense oracle capped at dimension {DENSE_ORACLE_MAX_DIM}, "
-            f"got {h.dim}"
-        )
+    dense eigendecomposition at time t."""
     if t <= 0:
         raise ValidationError("comparison time must be positive")
     times = np.array([s0.time, s0.time + t])

@@ -9,7 +9,19 @@ from pathlib import Path
 import pytest
 
 import eladder
+from eladder import cli
 from eladder.cli import main
+from eladder.errors import (
+    ConfigError,
+    ExportError,
+    InsufficientSpanError,
+    IntegrationError,
+    LadderError,
+    ResourceLimitError,
+    SweepError,
+    TruncationError,
+    ValidationError,
+)
 
 CHEAP = """
 electron.energy = 100 eV
@@ -111,6 +123,68 @@ class TestExitCodes:
                      "--grid", "1:2", "--observable", "rho",
                      "--out", str(tmp_path / "t.csv")])
         assert code == 2
+
+
+    NON_FINITE = [
+        ("electron.energy", "nan eV"),
+        ("field.amplitude", "inf V/nm"),
+        ("propagation.t_end", "-inf fs"),
+        ("field.phase", "1e308 pi"),      # finite number, overflows in rad
+        ("analysis.threshold", "nan"),
+        ("propagation.step_tolerance", "inf"),
+    ]
+
+    @pytest.mark.parametrize("key,value", NON_FINITE)
+    def test_non_finite_number_is_2(self, key, value, tmp_path, capsys):
+        kept = [ln for ln in CHEAP.splitlines() if not ln.startswith(key + " ")]
+        path = tmp_path / "bad.cfg"
+        path.write_text("\n".join(kept + [f"{key} = {value}"]) + "\n")
+        assert main(["classify", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: category=validation {key}: ")
+        assert "not a finite number" in err
+
+    @pytest.mark.parametrize("error", [MemoryError(), MemoryError(
+        "Unable to allocate 16.0 GiB for an array")])
+    def test_out_of_memory_is_3(self, error, cheap_config, tmp_path,
+                                capsys, monkeypatch):
+        def exhaust(scenario):
+            raise error
+        monkeypatch.setattr(cli, "run_scenario", exhaust)
+        code = main(["simulate", str(cheap_config), "--out", str(tmp_path)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: category=numerical out of memory: ")
+        assert err.count("\n") == 1
+        assert err.split("out of memory: ", 1)[1].strip()
+
+
+# category and exit code of every package error, as README documents them
+DOCUMENTED = {
+    ConfigError: ("validation", 2),
+    ValidationError: ("validation", 2),
+    TruncationError: ("numerical", 3),
+    ResourceLimitError: ("numerical", 3),
+    IntegrationError: ("numerical", 3),
+    InsufficientSpanError: ("numerical", 3),
+    SweepError: ("numerical", 3),
+    ExportError: ("io", 4),
+}
+
+
+@pytest.mark.parametrize("klass", LadderError.__subclasses__(),
+                         ids=lambda k: k.__name__)
+def test_error_carries_its_category_and_exit_code(klass, cheap_config,
+                                                  tmp_path, capsys,
+                                                  monkeypatch):
+    category, code = DOCUMENTED[klass]
+    assert (klass.category, klass.exit_code) == (category, code)
+
+    def fail(scenario):
+        raise klass("boom")
+    monkeypatch.setattr(cli, "run_scenario", fail)
+    assert main(["simulate", str(cheap_config), "--out", str(tmp_path)]) == code
+    assert capsys.readouterr().err == f"error: category={category} boom\n"
 
 
 class TestSweep:

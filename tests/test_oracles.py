@@ -119,39 +119,26 @@ def bragg_hamiltonian():
 class TestReduction:
     def test_bridge_matches_handmade_dense_formula(self, bragg_hamiltonian):
         h = bragg_hamiltonian
-        sol = two_level_reduction(h, (1, -1), route="bridge")
+        sol = two_level_reduction(h, (1, -1))
         d = h.to_dense()
         ia, im, ib = 1 + h.n_max, h.n_max, -1 + h.n_max
         local = abs(d[ia, im]) * abs(d[im, ib]) / (d[ia, ia].real - d[im, im].real)
         assert sol.effective_coupling == pytest.approx(abs(local), rel=1e-14)
 
     def test_bridge_frozen_values(self, bragg_hamiltonian):
-        sol = two_level_reduction(bragg_hamiltonian, (1, -1), route="bridge")
+        sol = two_level_reduction(bragg_hamiltonian, (1, -1))
         assert sol.effective_coupling == pytest.approx(0.0015181346279615488, rel=1e-12)
         assert sol.detuning_gap == 0.0
         assert sol.period == pytest.approx(1362.0885856997759, rel=1e-12)
-
-    def test_direct_route_is_far_off_resonant(self, bragg_hamiltonian):
-        # The one-step band element is real but hundreds of times too weak
-        # to explain the observed oscillation; keeping it separate is the
-        # point of having two routes.
-        direct = two_level_reduction(bragg_hamiltonian, (1, -1), route="direct")
-        bridge = two_level_reduction(bragg_hamiltonian, (1, -1), route="bridge")
-        assert direct.effective_coupling == pytest.approx(5.95309705552645e-06, rel=1e-12)
-        assert direct.period / bridge.period > 100.0
 
     def test_validation(self, bragg_hamiltonian):
         h = bragg_hamiltonian
         with pytest.raises(ValidationError):
             two_level_reduction(h, (20, -1))
         with pytest.raises(ValidationError):
-            two_level_reduction(h, (1, 0), route="direct")
+            two_level_reduction(h, (1, 0))
         with pytest.raises(ValidationError):
-            two_level_reduction(h, (1, -1), route="sideways")
-        with pytest.raises(ValidationError):
-            two_level_reduction(h, (1, 0), route="bridge")
-        with pytest.raises(ValidationError):
-            two_level_reduction(h, (2, -2), route="bridge")
+            two_level_reduction(h, (2, -2))
 
     def test_degenerate_bridge_site_is_rejected(self, trap_electron, trap_field):
         flat = ModelVariant.simplified(detuning_override=0.0, quadratic_scale=0.0)

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from eladder import (
     IntegrationError,
     ModelVariant,
-    ResourceLimitError,
     ValidationError,
     build_hamiltonian,
+    coupling_set,
     electron_from_energy,
     initial_plane_wave,
     matched_field,
@@ -20,7 +20,6 @@ from eladder import (
 from eladder.constants import HBAR
 from eladder.ladder import LadderHamiltonian, LadderState, initial_gaussian
 from eladder.propagate import (
-    DENSE_ORACLE_MAX_DIM,
     MomentSeries,
     PropagationConfig,
     Spectrogram,
@@ -97,22 +96,21 @@ class TestRoutes:
         spec = propagate(small_h, small_state, cfg)
         assert spec.metadata["method"] == "dense"
 
-    def test_auto_picks_banded_above_cap(self):
-        n_max = (DENSE_ORACLE_MAX_DIM - 1) // 2 + 1
-        h = null_hamiltonian(n_max)
-        assert h.dim > DENSE_ORACLE_MAX_DIM
-        spec = propagate(h, initial_plane_wave(n_max),
-                         PropagationConfig(t_end=1.0, sample_interval=0.5))
-        assert spec.metadata["method"] == "banded"
-        assert spec.metadata["max_norm_drift"] == 0.0
+    def test_auto_picks_dense_at_every_size(self):
+        # no lattice size moves auto off the eigensolve; banded runs only
+        # when named
+        h = null_hamiltonian(513)
+        kw = dict(t_end=1.0, sample_interval=0.5)
+        spec = propagate(h, initial_plane_wave(513), PropagationConfig(**kw))
+        assert h.dim == 1027
+        assert spec.metadata["method"] == "dense"
+        assert "series_terms" not in spec.metadata
+        assert spec.metadata["max_norm_drift"] < 1e-12
+        banded = propagate(h, initial_plane_wave(513),
+                           PropagationConfig(method="banded", **kw))
+        assert banded.metadata["max_norm_drift"] == 0.0
         # a zero spectrum leaves one series term per span
-        assert spec.metadata["series_terms"] == len(spec.times) - 1
-
-    def test_oracle_refuses_large_matrices(self):
-        n_max = (DENSE_ORACLE_MAX_DIM - 1) // 2 + 1
-        h = null_hamiltonian(n_max)
-        with pytest.raises(ResourceLimitError):
-            dense_oracle_compare(h, initial_plane_wave(n_max), 1.0)
+        assert banded.metadata["series_terms"] == len(banded.times) - 1
 
     def test_oracle_rejects_nonpositive_time(self, small_h, small_state):
         with pytest.raises(ValidationError):
@@ -223,7 +221,7 @@ class TestRealGauge:
     @settings(max_examples=20, deadline=None)
     def test_gauged_solve_matches_complex_solve(self, phase, offset, kind, n_max):
         h, state, spec = trap_packet(phase, offset, kind, n_max)
-        assert _real_form(h) is not None
+        assert not np.iscomplexobj(_real_form(h)[1])
         ref = np.abs(complex_reference(h, state.amplitudes, spec.times)) ** 2
         assert np.abs(spec.populations - ref).max() < 1e-12
 
@@ -234,7 +232,7 @@ class TestRealGauge:
                               np.zeros(dim - 1, dtype=complex),
                               np.full(dim - 2, 0.7 * np.exp(0.4j)),
                               ModelVariant.full())
-        assert _real_form(h) is not None
+        assert not np.iscomplexobj(_real_form(h)[1])
         a0 = initial_plane_wave(n_max).amplitudes
         times = np.linspace(0.0, 5.0, 6)
         ref = complex_reference(h, a0, times)
@@ -251,7 +249,8 @@ class TestRealGauge:
             rng.normal(0.0, 0.5, dim - 1) + 1j * rng.normal(0.0, 0.5, dim - 1),
             rng.normal(0.0, 0.2, dim - 2) + 1j * rng.normal(0.0, 0.2, dim - 2),
             ModelVariant.full())
-        assert _real_form(h) is None
+        theta, m = _real_form(h)
+        assert theta == 0.0 and np.array_equal(m, h.to_dense())
         amp = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         state = LadderState(amp / np.linalg.norm(amp), 0.0, n_max)
         kw = dict(t_end=float(rng.uniform(0.3, 1.0)), sample_interval=0.25)
@@ -267,6 +266,51 @@ class TestRealGauge:
         _, _, base = trap_packet(phase, offset, kind, t_end=20.0)
         _, _, moved = trap_packet(phase + alpha, offset - alpha, kind, t_end=20.0)
         assert np.abs(base.populations - moved.populations).max() < 1e-10
+
+
+ROUTES = ["dense", "banded"]
+
+
+class TestRouteProperties:
+    """Closed-form limits that every route must meet, at dim <= 129."""
+
+    @pytest.mark.parametrize("method", ROUTES)
+    @given(st.floats(min_value=0.05, max_value=5.0), PHASES,
+           st.floats(min_value=0.1, max_value=24.0))
+    @settings(max_examples=20, deadline=None)
+    def test_hopping_only_ladder_is_a_bessel_comb(self, method, amplitude,
+                                                  phase, x):
+        """P_n(t) = J_n(2 |kappa| t / hbar)^2; x is the final argument,
+        and J_64(24) keeps the lattice edge out of reach."""
+        from scipy.special import jv
+        e = electron_from_energy(100.0)
+        f = matched_field(e, amplitude, 1.54, initial_phase=phase)
+        kappa = coupling_set(e, f).kappa_mag
+        flat = ModelVariant.simplified(detuning_override=0.0, quadratic_scale=0.0)
+        h = build_hamiltonian(e, f, flat, 64)
+        t = x * HBAR / (2.0 * kappa)
+        spec = propagate(h, initial_plane_wave(64), PropagationConfig(
+            t_end=t, sample_interval=t / 4, method=method))
+        n = spec.sideband_indices
+        ref = jv(n, 2.0 * kappa * (spec.times[:, None] - spec.times[0]) / HBAR) ** 2
+        assert np.abs(spec.populations - ref).max() < 1e-9
+
+    @pytest.mark.parametrize("method", ROUTES)
+    @given(st.floats(min_value=20.0, max_value=200.0),
+           st.floats(min_value=0.1, max_value=3.0), PHASES,
+           st.floats(min_value=0.5, max_value=20.0))
+    @settings(max_examples=20, deadline=None)
+    def test_simplified_model_is_mirror_symmetric(self, method, energy,
+                                                  amplitude, phase, t_end):
+        """At zero detuning the on-site term beta n^2 and a plane start at
+        n = 0 are even in n, so P_n(t) = P_-n(t) on the symmetric lattice."""
+        e = electron_from_energy(energy)
+        f = matched_field(e, amplitude, 1.54, initial_phase=phase)
+        h = build_hamiltonian(e, f, ModelVariant.simplified(detuning_override=0.0), 64)
+        spec = propagate(h, initial_plane_wave(64), PropagationConfig(
+            t_end=t_end, sample_interval=t_end / 4, method=method))
+        p = spec.populations
+        assert np.abs(p - p[:, ::-1]).max() < 1e-10
 
 
 def handmade_spectrogram():
@@ -302,11 +346,6 @@ class TestMoments:
         with pytest.raises(ValueError):
             m.centroid[0] = 9.0
         assert isinstance(m, MomentSeries)
-
-    def test_row_at_picks_nearest_sample(self):
-        spec = handmade_spectrogram()
-        assert np.array_equal(spec.row_at(0.9), spec.populations[1])
-        assert np.array_equal(spec.row_at(0.4), spec.populations[0])
 
     def test_sideband_indices(self):
         spec = handmade_spectrogram()
