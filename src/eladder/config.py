@@ -74,7 +74,6 @@ SCHEMA: dict[str, tuple] = {
     "truncation.n_max": ("int_or_auto",),
     "truncation.cap": ("int",),
     "analysis.threshold": ("number",),
-    "seed": ("int",),
 }
 
 
@@ -82,7 +81,6 @@ SCHEMA: dict[str, tuple] = {
 class RunConfig:
     scenario: Scenario
     threshold: float = 1e-3
-    seed: int = 0
 
 
 def _parse_lines(text: str) -> dict[str, str]:
@@ -281,7 +279,6 @@ def parse_config(text: str) -> RunConfig:
     return RunConfig(
         scenario=scenario,
         threshold=got.get("analysis.threshold", 1e-3),
-        seed=got.get("seed", 0),
     )
 
 
@@ -349,6 +346,5 @@ def render_config(cfg: RunConfig) -> str:
         + ("auto" if sc.n_max is None else str(sc.n_max)),
         f"truncation.cap = {sc.truncation_cap}",
         f"analysis.threshold = {_fmt(cfg.threshold)}",
-        f"seed = {cfg.seed}",
     ]
     return "\n".join(lines) + "\n"

@@ -13,13 +13,26 @@ Two spectrogram formats:
   it reproduces the populations exactly, and reruns of the same
   configuration produce the same hash.
 
+  Record version 2 stores each array (``times_fs``, ``populations``,
+  ``norm_drift``) as ``{"dtype": "<f8", "shape": [...], "data": ...}``, the
+  data being the base64 of its little-endian float64 bytes, after NumPy's
+  ``.npy`` layout (NEP 1): exact, but not readable as text.  Its hash is
+  sha256 over the sorted, compact JSON of every other field except the hash,
+  then, per array in that order, the compact JSON ``[name, "<f8", shape]``
+  and the array's bytes.  Version 1 records, which hold the arrays as JSON
+  number lists and hash the sorted, compact JSON of the whole payload, are
+  still read and checked by their own rule.  A record of either version
+  without its hash, or with any field malformed, raises ExportError.
+
 All writes go through a temp-file-then-rename so a crashed run never
 leaves a half-written file at the target path.
 """
 from __future__ import annotations
 
+import binascii
 import hashlib
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass
@@ -32,7 +45,11 @@ from .errors import ExportError
 from .propagate import Spectrogram
 
 RECORD_FORMAT = "eladder-spectrogram"
-RECORD_VERSION = 1
+RECORD_VERSION = 2
+
+# The arrays of a record, in hash order, with their number of axes.
+_ARRAYS = {"times_fs": 1, "populations": 2, "norm_drift": 1}
+_DTYPE = "<f8"
 
 TEXT_FORMAT = "delimited-text"
 JSON_FORMAT = "structured-record"
@@ -219,49 +236,120 @@ def _payload(spec: Spectrogram, config_echo: str | None) -> dict:
         "tool_version": __version__,
         "n_max": int(spec.n_max),
         "metadata": _jsonable(spec.metadata),
-        "times_fs": [float(t) for t in spec.times],
-        "populations": [[float(p) for p in row] for row in spec.populations],
-        "norm_drift": [float(d) for d in spec.norm_drift_series],
+        "times_fs": spec.times,
+        "populations": spec.populations,
+        "norm_drift": spec.norm_drift_series,
     }
     if config_echo is not None:
         payload["config_echo"] = config_echo
     return payload
 
 
+def _compact(value) -> bytes:
+    return json.dumps(value, sort_keys=True, separators=(",", ":")).encode()
+
+
 def record_hash(payload: dict) -> str:
-    body = {k: v for k, v in payload.items() if k != "hash"}
-    blob = json.dumps(body, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    """sha256 of a version 2 payload whose arrays are float64 ndarrays."""
+    digest = hashlib.sha256(_compact(
+        {k: v for k, v in payload.items() if k != "hash" and k not in _ARRAYS}))
+    for name in _ARRAYS:
+        array = np.ascontiguousarray(payload[name], dtype=_DTYPE)
+        digest.update(_compact([name, _DTYPE, list(array.shape)]))
+        digest.update(array)
+    return digest.hexdigest()
+
+
+def _v1_hash(payload: dict) -> str:
+    """sha256 of a version 1 payload, its arrays being JSON number lists."""
+    return hashlib.sha256(
+        _compact({k: v for k, v in payload.items() if k != "hash"})).hexdigest()
 
 
 def spectrogram_hash(spec: Spectrogram, config_echo: str | None = None) -> str:
     return record_hash(_payload(spec, config_echo))
 
 
+def _encode_array(array: np.ndarray) -> dict:
+    array = np.ascontiguousarray(array, dtype=_DTYPE)
+    return {"dtype": _DTYPE, "shape": list(array.shape),
+            "data": binascii.b2a_base64(array, newline=False).decode("ascii")}
+
+
+def _render(payload: dict, digest: str) -> str:
+    record = {k: _encode_array(v) if k in _ARRAYS else v
+              for k, v in payload.items()}
+    record["hash"] = digest
+    return json.dumps(record, sort_keys=True) + "\n"
+
+
 def render_record(spec: Spectrogram, config_echo: str | None = None) -> str:
     payload = _payload(spec, config_echo)
-    payload["hash"] = record_hash(payload)
-    return json.dumps(payload, sort_keys=True) + "\n"
+    return _render(payload, record_hash(payload))
+
+
+def _decode_array(name: str, field) -> np.ndarray:
+    """A version 2 array field as a read-only float64 ndarray."""
+    if not isinstance(field, dict) or field.get("dtype") != _DTYPE:
+        raise ExportError(f"bad record: {name} is not a {_DTYPE} array")
+    shape = field.get("shape")
+    if not (isinstance(shape, list) and all(
+            type(n) is int and n >= 0 for n in shape)):
+        raise ExportError(f"bad record: {name} has shape {shape!r}")
+    try:
+        data = binascii.a2b_base64(field.get("data"), strict_mode=True)
+    except (TypeError, ValueError) as exc:
+        raise ExportError(f"bad record: {name} data is not base64: {exc}") from exc
+    if len(data) != 8 * math.prod(shape):
+        raise ExportError(f"bad record: {name} holds {len(data)} bytes, "
+                          f"shape {shape} needs {8 * math.prod(shape)}")
+    return np.frombuffer(data, dtype=_DTYPE).reshape(shape)
+
+
+def _v1_array(name: str, field) -> np.ndarray:
+    try:
+        return np.array(field, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ExportError(f"bad record: {name}: {exc}") from exc
 
 
 def parse_record(text: str) -> Spectrogram:
+    """A record of either version; its stored hash is checked by the rule
+    of its version."""
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ExportError(f"bad record: {exc}") from exc
-    if payload.get("format") != RECORD_FORMAT:
+    if not isinstance(payload, dict) or payload.get("format") != RECORD_FORMAT:
         raise ExportError(f"not a {RECORD_FORMAT} record")
-    stored = payload.get("hash")
-    if stored is not None and stored != record_hash(payload):
+    version = payload.get("record_version")
+    if version not in (1, 2):
+        raise ExportError(f"unknown record_version {version!r}")
+    missing = [k for k in ("n_max", "hash", *_ARRAYS) if k not in payload]
+    if missing:
+        raise ExportError(f"bad record: no {', '.join(missing)}")
+    metadata = payload.get("metadata", {})
+    if type(payload["n_max"]) is not int or not isinstance(metadata, dict):
+        raise ExportError("bad record: n_max or metadata has the wrong type")
+    decode = _decode_array if version == 2 else _v1_array
+    arrays = {}
+    for name, ndim in _ARRAYS.items():
+        arrays[name] = decode(name, payload[name])
+        if arrays[name].ndim != ndim:
+            raise ExportError(f"bad record: {name} has {arrays[name].ndim} "
+                              f"axes, expected {ndim}")
+    actual = (record_hash({**payload, **arrays}) if version == 2
+              else _v1_hash(payload))
+    if payload["hash"] != actual:
         raise ExportError("record hash mismatch: file is corrupt or edited")
-    metadata = dict(payload.get("metadata", {}))
+    metadata = dict(metadata)
     if "config_echo" in payload:
         metadata["config_echo"] = payload["config_echo"]
     return Spectrogram(
-        times=np.array(payload["times_fs"], dtype=float),
-        populations=np.array(payload["populations"], dtype=float),
-        norm_drift_series=np.array(payload["norm_drift"], dtype=float),
-        n_max=int(payload["n_max"]),
+        times=arrays["times_fs"],
+        populations=arrays["populations"],
+        norm_drift_series=arrays["norm_drift"],
+        n_max=payload["n_max"],
         metadata=metadata,
     )
 
@@ -318,8 +406,9 @@ def write_bundle(out_dir, stem: str, spec: Spectrogram, config_echo: str,
     spec_path = out / f"{stem}.record.json"
     analysis_path = out / f"{stem}.analysis.json"
     config_path = out / f"{stem}.config"
-    digest = spectrogram_hash(spec, config_echo)
-    export_spectrogram(spec, spec_path, JSON_FORMAT, config_echo)
+    payload = _payload(spec, config_echo)
+    digest = record_hash(payload)
+    _atomic_write_text(spec_path, [_render(payload, digest)])
     report = {
         "tool_version": __version__,
         "content_hash": digest,

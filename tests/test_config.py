@@ -33,7 +33,6 @@ class TestDefaults:
         assert sc.n_max is None
         assert sc.truncation_cap == 4096
         assert cfg.threshold == 1e-3
-        assert cfg.seed == 0
 
     def test_full_model_default_flags(self):
         v = parse_config(MINIMAL).scenario.variant
@@ -116,7 +115,7 @@ ROUND_TRIP_CASES = [
     MINIMAL + ("field.phase = -90 deg\npropagation.method = banded\n"
                "propagation.sample_interval = 0.5 fs\n"
                "truncation.n_max = 48\ntruncation.cap = 512\n"
-               "analysis.threshold = 0.01\nseed = 7\n"),
+               "analysis.threshold = 0.01\n"),
 ]
 
 
@@ -129,13 +128,14 @@ class TestEchoReplay:
     def test_echo_is_fully_explicit(self):
         echo = render_config(parse_config(MINIMAL))
         for key in ("field.phase", "propagation.sample_interval",
-                    "truncation.n_max = auto", "analysis.threshold", "seed"):
+                    "truncation.n_max = auto", "analysis.threshold"):
             assert key in echo
 
 
 BAD_CASES = [
     ("electron.energy = 100\n" + MINIMAL.split("\n", 2)[2], "missing unit"),
     (MINIMAL + "electron.charge = 1\n", "unknown key"),
+    (MINIMAL + "seed = 7\n", "unknown key"),
     (MINIMAL + "propagation.t_end = 1 fs\n", "duplicate key"),
     (MINIMAL + "field.phase =\n", "has no value"),
     (MINIMAL + "just a stray line\n", "expected 'key = value'"),

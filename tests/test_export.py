@@ -1,10 +1,13 @@
 """Persistence: delimited tables, hashed records, and the output bundle."""
+import base64
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from eladder import ExportError, __version__, persist
 from eladder.config import parse_config, render_config
@@ -30,6 +33,11 @@ from eladder.propagate import Spectrogram
 from eladder.scenario import InitialSpec, run_scenario
 
 from conftest import trap_scenario
+
+# A version 1 record of `small_spec` with the config echo below, written by
+# the last release that wrote version 1.
+V1_RECORD = Path(__file__).parent / "data" / "small_v1.record.json"
+V1_ECHO = "electron.energy = 100.0 eV\n"
 
 
 @pytest.fixture(scope="module")
@@ -166,9 +174,19 @@ class TestRecordFormat:
         for key, value in small_spec.metadata.items():
             assert back.metadata[key] == value
 
+    def test_arrays_are_base64_float64(self, small_spec):
+        field = json.loads(render_record(small_spec))["populations"]
+        assert field["dtype"] == "<f8"
+        assert field["shape"] == list(small_spec.populations.shape)
+        data = base64.b64decode(field["data"])
+        assert data == small_spec.populations.astype("<f8").tobytes()
+
     def test_tampering_is_detected(self, small_spec):
         payload = json.loads(render_record(small_spec))
-        payload["populations"][0][0] = 0.123
+        field = payload["populations"]
+        data = bytearray(base64.b64decode(field["data"]))
+        data[0] ^= 1
+        field["data"] = base64.b64encode(bytes(data)).decode("ascii")
         with pytest.raises(ExportError, match="corrupt or edited"):
             parse_record(json.dumps(payload))
 
@@ -179,6 +197,149 @@ class TestRecordFormat:
     def test_unparseable_json(self):
         with pytest.raises(ExportError, match="bad record"):
             parse_record("{not json")
+
+
+def _v2_record(small_spec):
+    return json.loads(render_record(small_spec))
+
+
+def _v1_record(small_spec):
+    return json.loads(V1_RECORD.read_text())
+
+
+def _drop(key):
+    def edit(record):
+        del record[key]
+    return edit
+
+
+def _set_field(key, **values):
+    def edit(record):
+        record[key].update(values)
+    return edit
+
+
+def _insert_junk(record):
+    data = record["populations"]["data"]
+    record["populations"]["data"] = data[:8] + "!" + data[8:]
+
+
+def _make_ragged(record):
+    record["populations"][1] = record["populations"][1][:-1]
+
+
+MALFORMED = [
+    ("v1 missing array", _v1_record, _drop("populations")),
+    ("v2 missing array", _v2_record, _drop("times_fs")),
+    ("v1 missing n_max", _v1_record, _drop("n_max")),
+    ("v1 without hash", _v1_record, _drop("hash")),
+    ("v2 without hash", _v2_record, _drop("hash")),
+    ("v2 missing version", _v2_record, _drop("record_version")),
+    ("v2 bad base64", _v2_record, _set_field("populations", data="A*==")),
+    ("v2 junk inside base64", _v2_record, _insert_junk),
+    ("v2 base64 not a string", _v2_record, _set_field("norm_drift", data=7)),
+    ("v2 float32 dtype", _v2_record, _set_field("populations", dtype="<f4")),
+    ("v2 big-endian dtype", _v2_record, _set_field("times_fs", dtype=">f8")),
+    ("v2 shape too large", _v2_record, _set_field("populations",
+                                                  shape=[6, 33])),
+    ("v2 shape too small", _v2_record, _set_field("norm_drift", shape=[4])),
+    ("v2 shape not integers", _v2_record, _set_field("norm_drift",
+                                                     shape=["5"])),
+    ("v2 wrong axes", _v2_record, _set_field("populations", shape=[165])),
+    ("v1 ragged lists", _v1_record, _make_ragged),
+    ("v1 not numbers", _v1_record, lambda r: r.update(times_fs="0 0.5")),
+    ("format only", lambda spec: {"format": RECORD_FORMAT}, lambda r: None),
+    ("top level a list", lambda spec: [1, 2], lambda r: None),
+    ("top level a string", lambda spec: RECORD_FORMAT, lambda r: None),
+]
+
+
+@pytest.mark.parametrize("build, edit", [case[1:] for case in MALFORMED],
+                         ids=[case[0] for case in MALFORMED])
+def test_malformed_record_raises_export_error(small_spec, tmp_path, build,
+                                              edit):
+    record = build(small_spec)
+    edit(record)
+    path = tmp_path / "bad.record.json"
+    path.write_text(json.dumps(record))
+    with pytest.raises(ExportError) as caught:
+        import_spectrogram(path)
+    assert (caught.value.category, caught.value.exit_code) == ("io", 4)
+
+
+class TestVersion1Record:
+    def test_arrays_come_back_bit_for_bit(self, small_spec):
+        raw = json.loads(V1_RECORD.read_text())
+        assert raw["record_version"] == 1
+        back = parse_record(V1_RECORD.read_text())
+        for name, array in [("times_fs", back.times),
+                            ("populations", back.populations),
+                            ("norm_drift", back.norm_drift_series)]:
+            expected = np.array(raw[name], dtype=float)
+            assert array.tobytes() == expected.tobytes()
+        assert back.n_max == raw["n_max"] == small_spec.n_max
+        assert back.metadata["config_echo"] == V1_ECHO
+        assert np.abs(back.populations - small_spec.populations).max() < 1e-12
+
+    def test_edited_copy_fails_the_version_1_hash(self):
+        raw = json.loads(V1_RECORD.read_text())
+        raw["populations"][2][5] = 0.123
+        with pytest.raises(ExportError, match="corrupt or edited"):
+            parse_record(json.dumps(raw))
+
+
+FLOATS = st.floats(width=64) | st.sampled_from(
+    [-0.0, 5e-324, -5e-324, 2.2250738585072009e-308, -1e-310])
+
+
+@st.composite
+def spectrograms(draw):
+    n_max = draw(st.integers(0, 3))
+    rows = draw(st.integers(1, 6))
+    return Spectrogram(
+        times=draw(arrays(np.float64, rows, elements=FLOATS)),
+        populations=draw(arrays(np.float64, (rows, 2 * n_max + 1),
+                                elements=FLOATS)),
+        norm_drift_series=draw(arrays(np.float64, rows, elements=FLOATS)),
+        n_max=n_max,
+        metadata={"method": "dense"},
+    )
+
+
+def bits(array):
+    return array.view(np.uint64)
+
+
+class TestRecordProperties:
+    @given(spectrograms())
+    @settings(max_examples=40, deadline=None)
+    def test_render_then_parse_is_bit_exact(self, spec):
+        back = parse_record(render_record(spec, config_echo="x = 1\n"))
+        assert np.array_equal(bits(back.times), bits(spec.times))
+        assert np.array_equal(bits(back.populations), bits(spec.populations))
+        assert np.array_equal(bits(back.norm_drift_series),
+                              bits(spec.norm_drift_series))
+
+    @given(spectrograms(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_any_single_element_changes_the_hash(self, spec, data):
+        name = data.draw(st.sampled_from(
+            ["times", "populations", "norm_drift_series"]))
+        array = getattr(spec, name).copy()
+        flat = bits(array).reshape(-1)
+        index = data.draw(st.integers(0, flat.size - 1))
+        flat[index] ^= np.uint64(1) << np.uint64(data.draw(st.integers(0, 63)))
+        edited = Spectrogram(**{**spec.__dict__, name: array})
+        assert spectrogram_hash(edited) != spectrogram_hash(spec)
+
+    @given(spec=spectrograms())
+    @settings(max_examples=15, deadline=None)
+    def test_one_hash_everywhere(self, tmp_path_factory, spec):
+        echo = "x = 1\n"
+        out = tmp_path_factory.mktemp("bundle")
+        bundle = write_bundle(out, "run", spec, echo, {})
+        stored = json.loads(bundle.spectrogram_path.read_text())["hash"]
+        assert spectrogram_hash(spec, echo) == stored == bundle.content_hash
 
 
 class TestHash:
@@ -251,3 +412,12 @@ class TestBundle:
         # the config echo replays through the parser unchanged
         replay = parse_config(bundle.config_path.read_text())
         assert render_config(replay) == echo
+
+    def test_bundle_hashes_once(self, small_spec, tmp_path, monkeypatch):
+        calls = []
+        original = persist.record_hash
+        monkeypatch.setattr(persist, "record_hash",
+                            lambda payload: calls.append(1) or original(payload))
+        bundle = write_bundle(tmp_path, "once", small_spec, "x = 1\n", {})
+        assert len(calls) == 1
+        assert bundle.content_hash == spectrogram_hash(small_spec, "x = 1\n")

@@ -202,13 +202,13 @@ def complex_reference(h, a0, times):
     return (modes @ (phases * weights[:, None])).T
 
 
-def trap_packet(phase, offset, kind, n_max=32, t_end=8.0):
+def trap_packet(phase, offset, kind, n_max=32, t_end=8.0, method="dense"):
     e = electron_from_energy(100.0)
     f = matched_field(e, 1.0, 1.54, initial_phase=phase)
     variant = ModelVariant.full() if kind == "full" else ModelVariant.simplified()
     h = build_hamiltonian(e, f, variant, n_max)
     state = initial_gaussian(n_max, 1.5, offset_phase=offset)
-    cfg = PropagationConfig(t_end=t_end, sample_interval=t_end / 8, method="dense")
+    cfg = PropagationConfig(t_end=t_end, sample_interval=t_end / 8, method=method)
     return h, state, propagate(h, state, cfg)
 
 
@@ -258,15 +258,6 @@ class TestRealGauge:
         banded = propagate(h, state, PropagationConfig(method="banded", **kw))
         assert np.abs(dense.populations - banded.populations).max() < 1e-9
 
-    @given(PHASES, PHASES, PHASES, st.sampled_from(["full", "simplified"]))
-    @settings(max_examples=15, deadline=None)
-    def test_field_phase_is_a_gauge(self, phase, offset, alpha, kind):
-        """H(phi0 + alpha) = G^dagger H(phi0) G with G = diag(exp(i n alpha)),
-        so shifting the packet's linear phase by -alpha undoes the shift."""
-        _, _, base = trap_packet(phase, offset, kind, t_end=20.0)
-        _, _, moved = trap_packet(phase + alpha, offset - alpha, kind, t_end=20.0)
-        assert np.abs(base.populations - moved.populations).max() < 1e-10
-
 
 ROUTES = ["dense", "banded"]
 
@@ -311,6 +302,41 @@ class TestRouteProperties:
             t_end=t_end, sample_interval=t_end / 4, method=method))
         p = spec.populations
         assert np.abs(p - p[:, ::-1]).max() < 1e-10
+
+    @pytest.mark.parametrize("method", ROUTES)
+    @given(PHASES, PHASES, PHASES, st.sampled_from(["full", "simplified"]))
+    @settings(max_examples=15, deadline=None)
+    def test_field_phase_is_a_gauge(self, method, phase, offset, alpha, kind):
+        """H(phi0 + alpha) = G^dagger H(phi0) G with G = diag(exp(i n alpha)),
+        so shifting the packet's linear phase by -alpha undoes the shift."""
+        _, _, base = trap_packet(phase, offset, kind, t_end=20.0, method=method)
+        _, _, moved = trap_packet(phase + alpha, offset - alpha, kind,
+                                  t_end=20.0, method=method)
+        assert np.abs(base.populations - moved.populations).max() < 1e-10
+
+    @pytest.mark.parametrize("method", ROUTES)
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_norm_stays_within_the_limit(self, method, seed):
+        """Random pentadiagonal bands of trap-like size (eV), a random
+        normalised start and a random span of up to 20 fs."""
+        rng = np.random.default_rng(seed)
+        n_max = int(rng.integers(4, 65))
+        dim = 2 * n_max + 1
+        h = LadderHamiltonian(
+            n_max, rng.uniform(-3.0, 3.0, dim),
+            rng.normal(0.0, 1.0, dim - 1) + 1j * rng.normal(0.0, 1.0, dim - 1),
+            rng.normal(0.0, 0.1, dim - 2) + 1j * rng.normal(0.0, 0.1, dim - 2),
+            ModelVariant.full())
+        amp = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        state = LadderState(amp / np.linalg.norm(amp), 0.0, n_max)
+        t_end = float(rng.uniform(0.1, 20.0))
+        cfg = PropagationConfig(t_end=t_end, sample_interval=t_end / 4,
+                                method=method)
+        spec = propagate(h, state, cfg)
+        drift = np.abs(spec.populations.sum(axis=1) - 1.0)
+        assert drift.max() <= cfg.norm_drift_limit
+        assert np.array_equal(drift, spec.norm_drift_series)
 
 
 def handmade_spectrogram():
