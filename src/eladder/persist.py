@@ -34,6 +34,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -50,6 +51,8 @@ RECORD_VERSION = 2
 # The arrays of a record, in hash order, with their number of axes.
 _ARRAYS = {"times_fs": 1, "populations": 2, "norm_drift": 1}
 _DTYPE = "<f8"
+# Base64 alphabet, then padding; a2b_base64 would skip any other character.
+_BASE64 = re.compile(r"[A-Za-z0-9+/]*={0,2}")
 
 TEXT_FORMAT = "delimited-text"
 JSON_FORMAT = "structured-record"
@@ -296,10 +299,12 @@ def _decode_array(name: str, field) -> np.ndarray:
     if not (isinstance(shape, list) and all(
             type(n) is int and n >= 0 for n in shape)):
         raise ExportError(f"bad record: {name} has shape {shape!r}")
-    try:
-        data = binascii.a2b_base64(field.get("data"), strict_mode=True)
-    except (TypeError, ValueError) as exc:
-        raise ExportError(f"bad record: {name} data is not base64: {exc}") from exc
+    text = field.get("data")
+    if not isinstance(text, str):
+        raise ExportError(f"bad record: {name} data is not a base64 string")
+    if len(text) % 4 or not _BASE64.fullmatch(text):
+        raise ExportError(f"bad record: {name} data is not base64")
+    data = binascii.a2b_base64(text)
     if len(data) != 8 * math.prod(shape):
         raise ExportError(f"bad record: {name} holds {len(data)} bytes, "
                           f"shape {shape} needs {8 * math.prod(shape)}")
