@@ -40,6 +40,7 @@ from .physics import CouplingSet, ElectronParams, FieldParams, coupling_set
 
 NORM_TOLERANCE = 1e-8
 TAIL_GUARD = 1e-10
+EDGE_AMPLITUDE = 1e-12
 TRUNCATION_START = 64
 TRUNCATION_CAP = 4096
 
@@ -262,8 +263,8 @@ def initial_gaussian(
 
     Amplitudes follow exp(-(n - c)^2 / (4 sigma^2)) times the quadratic and
     linear phase factors exp(i (chirp (n-c)^2 + offset_phase (n-c))).  The
-    amplitude at the lattice edge must be below 1e-12 of the peak, otherwise
-    a TruncationError suggests enlarging n_max.
+    amplitude at the lattice edge must not exceed EDGE_AMPLITUDE of the
+    peak, otherwise a TruncationError suggests enlarging n_max.
     """
     if width_sidebands <= 0:
         raise ValidationError("width must be positive")
@@ -271,9 +272,9 @@ def initial_gaussian(
     rel = n - center
     envelope = np.exp(-(rel**2) / (4.0 * width_sidebands**2))
     edge = max(envelope[0], envelope[-1])
-    if edge > 1e-12:
+    if edge > EDGE_AMPLITUDE:
         raise TruncationError(
-            f"edge amplitude {edge:.2e} of peak exceeds 1e-12; "
+            f"edge amplitude {edge:.2e} of peak exceeds {EDGE_AMPLITUDE:.0e}; "
             f"increase n_max beyond {n_max}"
         )
     a = envelope * np.exp(1j * (chirp * rel**2 + offset_phase * rel))
@@ -328,6 +329,17 @@ def _support_n(state: LadderState, floor: float = TAIL_GUARD) -> int:
     return state.n_max
 
 
+def _edge_n(state: LadderState) -> int:
+    """Smallest half-width N such that no amplitude at |n| >= N exceeds
+    EDGE_AMPLITUDE of the peak: a lattice of half-width N passes the edge
+    rule of initial_gaussian, and cropping the state to it loses no more
+    than roundoff."""
+    a = np.abs(state.amplitudes)
+    n = np.abs(np.arange(-state.n_max, state.n_max + 1))
+    above = n[a > EDGE_AMPLITUDE * a.max()]
+    return int(above.max()) + 1 if above.size else 0
+
+
 def adaptive_truncation(
     e: ElectronParams,
     f: FieldParams,
@@ -341,24 +353,28 @@ def adaptive_truncation(
     """Find a lattice half-width that keeps the population of the outer two
     sites below `guard` up to the time horizon.
 
-    Tries start, 2*start, ... and returns the first size that passes a trial
-    evolution sampled along the horizon.  Exceeding hard_cap raises
-    ResourceLimitError.  With no field the dynamics is diagonal, so the
-    answer is just the support of the initial state.
+    No size is below the support of the initial state: two sites beyond its
+    `guard` mass, and wide enough that its edge amplitudes pass the rule of
+    initial_gaussian.  With no field the dynamics is diagonal, so the answer
+    is that support; otherwise the search tries max(start, support),
+    doubling, and returns the first size that passes a trial evolution
+    sampled along the horizon.  Any size above hard_cap raises
+    ResourceLimitError.
     """
     from .propagate import PropagationConfig, propagate  # local: avoids cycle
 
     if t_max <= 0:
         raise ValidationError("time horizon must be positive")
-    if f.amplitude == 0.0:
-        return _support_n(state, guard) + 2
-
-    n_try = max(start, _support_n(state, guard) + 2)
+    n_try = max(_support_n(state, guard) + 2, _edge_n(state))
+    if f.amplitude != 0.0:
+        n_try = max(start, n_try)
     while True:
         if n_try > hard_cap:
             raise ResourceLimitError(
                 f"truncation search exceeded the cap of {hard_cap} sidebands"
             )
+        if f.amplitude == 0.0:
+            return n_try
         h = build_hamiltonian(e, f, variant, n_try)
         trial = _embed(state, n_try)
         cfg = PropagationConfig(t_end=t_max, sample_interval=t_max / 32.0)

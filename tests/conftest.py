@@ -6,6 +6,7 @@ runtime budget can be checked without re-running anything.
 """
 from __future__ import annotations
 
+import importlib
 import time
 from typing import NamedTuple
 
@@ -21,6 +22,9 @@ from eladder import (
 )
 from eladder.propagate import PropagationConfig
 from eladder.scenario import InitialSpec, Matching, Scenario, run_scenario
+
+# The package re-exports the function propagate under the module's name.
+propagate_module = importlib.import_module("eladder.propagate")
 
 TRAP_ENERGY = 100.0
 TRAP_FIELD = 1.0
@@ -143,3 +147,19 @@ def mismatched_control_run() -> TimedRun:
                        variant=ModelVariant.simplified(quadratic_scale=0.0),
                        matching=Matching("grating_period", 23.0))
     return timed(sc)
+
+
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """Start from an empty eigendecomposition slot and record the
+    dimension of every numpy.linalg.eigh call."""
+    monkeypatch.setattr(propagate_module, "_slot", {})
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(m):
+        calls.append(m.shape[0])
+        return eigh(m)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return calls

@@ -23,6 +23,8 @@ from eladder.errors import (
     ValidationError,
 )
 
+from conftest import propagate_module
+
 CHEAP = """
 electron.energy = 100 eV
 field.amplitude = 1.0 V/nm
@@ -30,6 +32,14 @@ field.photon_energy = 1.54 eV
 propagation.t_end = 2 fs
 propagation.sample_interval = 0.5 fs
 truncation.n_max = 16
+"""
+
+README = """
+electron.energy = 100 eV
+field.amplitude = 1.0 V/nm
+field.photon_energy = 1.54 eV
+propagation.t_end = 60 fs
+propagation.sample_interval = 0.05 fs
 """
 
 BRAGG = """
@@ -83,6 +93,28 @@ class TestSimulate:
         assert body["trap_width_ev"] is not None
         # 2 fs is too short for a revival; the report says so instead of dying
         assert "collapse_times_fs" in body
+
+
+GAUSSIAN_AUTO = """
+electron.energy = 100 eV
+field.amplitude = {field} V/nm
+field.photon_energy = 1.54 eV
+initial.mode = gaussian
+initial.width_sidebands = {width}
+propagation.t_end = 10 fs
+propagation.sample_interval = 1 fs
+truncation.n_max = auto
+"""
+
+
+@pytest.mark.parametrize("field", [0, 1])
+@pytest.mark.parametrize("width", [4, 6, 10, 20])
+def test_gaussian_start_sizes_its_own_lattice(field, width, tmp_path, capsys):
+    """The truncation search never returns a lattice the Gaussian builder
+    rejects, and never crops the packet it was given."""
+    path = tmp_path / "g.cfg"
+    path.write_text(GAUSSIAN_AUTO.format(field=field, width=width))
+    assert main(["simulate", str(path), "--out", str(tmp_path / "o")]) == 0
 
 
 class TestExitCodes:
@@ -223,6 +255,26 @@ class TestClassify:
         path.write_text(BRAGG)
         assert main(["classify", str(path)]) == 0
         assert capsys.readouterr().out.startswith("Bragg (rho = ")
+
+
+def test_hash_does_not_depend_on_a_warm_eigensolve(tmp_path, capsys,
+                                                   eigh_calls):
+    """oracle-check leaves the README lattice's decomposition in the dense
+    route's slot; a simulate that reuses it writes the same record."""
+    path = tmp_path / "readme.cfg"
+    path.write_text(README)
+
+    def content_hash(out):
+        assert main(["simulate", str(path), "--out", str(tmp_path / out)]) == 0
+        return re.search(r"content hash (\w+)", capsys.readouterr().out)[1]
+
+    cold = content_hash("cold")
+    propagate_module._slot.clear()
+    assert main(["oracle-check", str(path)]) == 0
+    capsys.readouterr()
+    eigh_calls.clear()
+    assert content_hash("warm") == cold
+    assert eigh_calls == []
 
 
 class TestOracleCheck:

@@ -237,3 +237,22 @@ class TestTruncation:
             adaptive_truncation(trap_electron, trap_field,
                                 ModelVariant.full(), initial_plane_wave(1),
                                 60.0, start=8, hard_cap=16)
+
+    def test_cap_is_enforced_without_a_field(self, trap_electron):
+        f = matched_field(trap_electron, 0.0, 1.54)
+        state = initial_gaussian(1600, width_sidebands=100.0)
+        with pytest.raises(ResourceLimitError):
+            adaptive_truncation(trap_electron, f, ModelVariant.full(),
+                                state, 10.0, hard_cap=256)
+
+    @pytest.mark.parametrize("amplitude", [0.0, 1.0])
+    def test_gaussian_size_passes_the_edge_rule(self, trap_electron,
+                                                amplitude):
+        f = matched_field(trap_electron, amplitude, 1.54)
+        probe = initial_gaussian(160, width_sidebands=10.0)
+        n = adaptive_truncation(trap_electron, f, ModelVariant.full(),
+                                probe, 10.0)
+        assert n < probe.n_max
+        initial_gaussian(n, width_sidebands=10.0)
+        with pytest.raises(TruncationError):
+            initial_gaussian(n - 1, width_sidebands=10.0)

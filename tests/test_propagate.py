@@ -1,5 +1,5 @@
 """Sampling grids, the two integration routes, the real gauge of the dense
-route, and moment extraction."""
+route, its eigendecomposition slot, and moment extraction."""
 import math
 
 import numpy as np
@@ -24,12 +24,16 @@ from eladder.propagate import (
     PropagationConfig,
     Spectrogram,
     _bessel_terms,
+    _eigensystem,
     _evolve_dense,
     _real_form,
     centroid_and_spread,
     dense_oracle_compare,
     propagate,
 )
+from eladder.scenario import InitialSpec, Scenario, run_scenario
+
+from conftest import propagate_module, trap_scenario
 
 
 @pytest.fixture(scope="module")
@@ -257,6 +261,49 @@ class TestRealGauge:
         dense = propagate(h, state, PropagationConfig(method="dense", **kw))
         banded = propagate(h, state, PropagationConfig(method="banded", **kw))
         assert np.abs(dense.populations - banded.populations).max() < 1e-9
+
+
+class TestEigensystemSlot:
+    """The dense route solves each distinct Hamiltonian once."""
+
+    def test_accepted_truncation_lattice_is_solved_once(self, eigh_calls):
+        readme = trap_scenario(InitialSpec(), None, 60.0, 0.05)
+        run_scenario(readme)
+        assert eigh_calls == [129]
+
+        eigh_calls.clear()
+        wide = Scenario(kinetic_energy=200.0, amplitude=4.0, photon_energy=0.8,
+                        propagation=PropagationConfig(t_end=60.0,
+                                                      sample_interval=0.5))
+        run_scenario(wide)
+        assert eigh_calls == [129, 257, 513, 1025]
+
+    def test_one_ulp_in_one_band_entry_solves_afresh(self, small_h,
+                                                     eigh_calls):
+        first = _eigensystem(small_h)
+        assert _eigensystem(small_h) is first and len(eigh_calls) == 1
+        diagonal = small_h.diagonal.copy()
+        diagonal[3] = np.nextafter(diagonal[3], np.inf)
+        nudged = LadderHamiltonian(small_h.n_max, diagonal, small_h.hop_1,
+                                   small_h.hop_2, small_h.variant)
+        assert _eigensystem(nudged) is not first and len(eigh_calls) == 2
+
+    def test_cached_arrays_are_read_only(self, small_h, eigh_calls):
+        _, energies, modes = _eigensystem(small_h)
+        for a in (energies, modes):
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+
+    def test_warm_and_cold_amplitudes_are_bit_identical(self, small_h,
+                                                        small_state,
+                                                        eigh_calls):
+        times = np.linspace(0.0, 6.0, 13)
+        cold = _evolve_dense(small_h, small_state.amplitudes, times)
+        warm = _evolve_dense(small_h, small_state.amplitudes, times)
+        propagate_module._slot.clear()
+        again = _evolve_dense(small_h, small_state.amplitudes, times)
+        assert len(eigh_calls) == 2
+        assert np.array_equal(cold, warm) and np.array_equal(cold, again)
 
 
 ROUTES = ["dense", "banded"]
