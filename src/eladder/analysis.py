@@ -23,7 +23,7 @@ from .errors import (
     SweepError,
     ValidationError,
 )
-from .physics import CouplingSet, coupling_set, electron_from_energy, matched_field
+from .physics import CouplingSet, coupling_set, electron_from_energy
 from .propagate import PropagationConfig, Spectrogram, centroid_and_spread
 from .scenario import Scenario, run_scenario, trap_cycle_estimate
 
@@ -376,12 +376,21 @@ class SweepRow:
 
 
 def _scenario_at(base: Scenario, axis: str, value: float) -> Scenario:
+    """base moved to `value` on `axis`.
+
+    A phase point keeps the base field phase phi0 and shifts the start's
+    linear phase instead: the field phase is a gauge, so phase phi0 + a
+    with offset_phase o has the populations of phi0 with offset o + a.
+    Every phase point thus has the base Hamiltonian, bit for bit.
+    """
     if axis == "energy":
         return replace(base, kinetic_energy=float(value))
     if axis == "field":
         return replace(base, amplitude=float(value))
     if axis == "phase":
-        return replace(base, initial_phase=float(value))
+        shift = float(value) - base.initial_phase
+        return replace(base, initial=replace(
+            base.initial, offset_phase=base.initial.offset_phase + shift))
     if axis == "photon_energy":
         return replace(base, photon_energy=float(value))
     raise ValidationError(f"unknown sweep axis {axis!r}")
@@ -436,7 +445,9 @@ def sweep(
 
     Rows come back in grid order.  Per-point failures are recorded in the
     row and the sweep continues; if every point fails, SweepError carries
-    the first message.
+    the first message.  Phase points differ only in the start's linear
+    phase (see _scenario_at), so they share one Hamiltonian and the dense
+    route diagonalizes it once for the whole grid.
     """
     if axis not in SWEEP_AXES:
         raise ValidationError(f"axis must be one of {SWEEP_AXES}")

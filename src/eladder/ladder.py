@@ -30,7 +30,7 @@ dynamics used by the mismatch studies).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -1,5 +1,6 @@
 """Observable extraction: widths, collapses, asymmetry, oscillations, sweeps."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from eladder import (
 )
 from eladder.analysis import (
     RegimeLabel,
+    _auto_sized,
     _interp_extrema,
     asymmetry,
     bloch_oscillation_report,
@@ -29,7 +31,8 @@ from eladder.constants import HBAR
 from eladder.propagate import Spectrogram
 
 from conftest import timed, trap_scenario
-from eladder.scenario import InitialSpec
+from eladder.figures import make_figure
+from eladder.scenario import InitialSpec, run_scenario
 
 
 def make_spec(times, pops, metadata=None):
@@ -272,3 +275,40 @@ class TestSweep:
             sweep("energy", [100.0], base, "entropy")
         with pytest.raises(ValidationError):
             sweep("energy", [], base, "rho")
+
+
+class TestPhaseSweep:
+    """Phase points keep the base Hamiltonian and move the start's linear
+    phase instead, which the field-phase gauge makes exact."""
+
+    # Off-centre and chirped, with its own linear phase, on a base field
+    # phase of 0.3 rad: a wrong sign or a dropped base phase shows.
+    GRID = [-2.5, -0.9, 0.3, 1.7, 2.9]
+
+    @pytest.fixture(scope="class")
+    def packet_base(self):
+        initial = InitialSpec(kind="gaussian", center=4, width_sidebands=3.0,
+                              chirp=0.05, offset_phase=0.5)
+        return trap_scenario(initial, None, 60.0, 0.05, phase=0.3)
+
+    @pytest.fixture(scope="class")
+    def per_point(self, packet_base):
+        """Each point run at its own field phase."""
+        return [run_scenario(_auto_sized(replace(packet_base, initial_phase=v)))
+                for v in self.GRID]
+
+    def test_widths_equal_per_point_runs(self, packet_base, per_point):
+        rows = sweep("phase", self.GRID, packet_base, "trap_width")
+        assert [r.result for r in rows] == [trap_width(s).width
+                                            for s in per_point]
+        assert len({r.result for r in rows}) > 2
+
+    def test_revival_periods_equal_per_point_runs(self, packet_base,
+                                                  per_point):
+        rows = sweep("phase", self.GRID, packet_base, "revival_period")
+        for row, spec in zip(rows, per_point):
+            assert row.result == pytest.approx(revival_period(spec), rel=1e-9)
+
+    def test_fig3c_grid_is_solved_once(self, tmp_path, eigh_calls):
+        make_figure("fig3c", tmp_path)
+        assert len(eigh_calls) == 1

@@ -1,5 +1,6 @@
 """Sampling grids, the two integration routes, the real gauge of the dense
-route, its eigendecomposition slot, and moment extraction."""
+route, its eigendecomposition slot, its mode pruning, and moment
+extraction."""
 import math
 
 import numpy as np
@@ -20,12 +21,14 @@ from eladder import (
 from eladder.constants import HBAR
 from eladder.ladder import LadderHamiltonian, LadderState, initial_gaussian
 from eladder.propagate import (
+    PRUNE_BOUND,
     MomentSeries,
     PropagationConfig,
     Spectrogram,
     _bessel_terms,
+    _dense_populations,
     _eigensystem,
-    _evolve_dense,
+    _kept_modes,
     _real_form,
     centroid_and_spread,
     dense_oracle_compare,
@@ -237,10 +240,13 @@ class TestRealGauge:
                               np.full(dim - 2, 0.7 * np.exp(0.4j)),
                               ModelVariant.full())
         assert not np.iscomplexobj(_real_form(h)[1])
-        a0 = initial_plane_wave(n_max).amplitudes
+        # A plane start at n = 0 cannot see theta; a random complex one can.
+        rng = np.random.default_rng(7)
+        a0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        a0 /= np.linalg.norm(a0)
         times = np.linspace(0.0, 5.0, 6)
-        ref = complex_reference(h, a0, times)
-        assert np.abs(_evolve_dense(h, a0, times) - ref).max() < 1e-12
+        ref = np.abs(complex_reference(h, a0, times)) ** 2
+        assert np.abs(_dense_populations(h, a0, times) - ref).max() < 1e-12
 
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=6, deadline=None)
@@ -294,16 +300,114 @@ class TestEigensystemSlot:
             with pytest.raises(ValueError):
                 a[0] = 0.0
 
-    def test_warm_and_cold_amplitudes_are_bit_identical(self, small_h,
-                                                        small_state,
-                                                        eigh_calls):
+    def test_warm_and_cold_populations_are_bit_identical(self, small_h,
+                                                         small_state,
+                                                         eigh_calls):
         times = np.linspace(0.0, 6.0, 13)
-        cold = _evolve_dense(small_h, small_state.amplitudes, times)
-        warm = _evolve_dense(small_h, small_state.amplitudes, times)
+        cold = _dense_populations(small_h, small_state.amplitudes, times)
+        warm = _dense_populations(small_h, small_state.amplitudes, times)
         propagate_module._slot.clear()
-        again = _evolve_dense(small_h, small_state.amplitudes, times)
+        again = _dense_populations(small_h, small_state.amplitudes, times)
         assert len(eigh_calls) == 2
         assert np.array_equal(cold, warm) and np.array_equal(cold, again)
+
+
+def full_mode_reference(h, a0, times):
+    """Populations rebuilt from every mode of the route's own
+    eigendecomposition."""
+    theta, energies, modes = _eigensystem(h)
+    d = np.exp(1j * theta * np.arange(h.dim))
+    weights = modes.conj().T @ (d.conj() * a0)
+    phases = np.exp(-1j * np.outer(energies, times - times[0]) / HBAR)
+    return np.abs(modes @ (phases * weights[:, None])).T ** 2
+
+
+def start_weights(h, a0):
+    theta, _, modes = _eigensystem(h)
+    return modes.conj().T @ (np.exp(-1j * theta * np.arange(h.dim)) * a0)
+
+
+def trap_like_bands(rng, gauged):
+    """A random pentadiagonal ladder with a quadratic on-site term, so that
+    its modes are localized and a narrow start leaves most of them idle.
+    gauged bands share one phase per hop order; the others are generic."""
+    n_max = int(rng.integers(8, 65))
+    dim = 2 * n_max + 1
+    n = np.arange(-n_max, n_max + 1)
+    diagonal = rng.uniform(0.02, 0.5) * n**2 + rng.uniform(-0.5, 0.5) * n
+    hop_1 = rng.choice([-1.0, 1.0], dim - 1) * rng.uniform(0.2, 1.0, dim - 1)
+    hop_2 = rng.choice([-1.0, 1.0], dim - 2) * rng.uniform(0.0, 0.1, dim - 2)
+    if gauged:
+        phi = rng.uniform(-math.pi, math.pi)
+        hop_1 = hop_1 * np.exp(1j * phi)
+        hop_2 = hop_2 * np.exp(2j * phi)
+    else:
+        hop_1 = hop_1 * np.exp(1j * rng.uniform(-math.pi, math.pi, dim - 1))
+        hop_2 = hop_2 * np.exp(1j * rng.uniform(-math.pi, math.pi, dim - 2))
+    return LadderHamiltonian(n_max, diagonal, hop_1, hop_2, ModelVariant.full())
+
+
+def random_start(rng, kind, n_max):
+    dim = 2 * n_max + 1
+    if kind == "complex":
+        amp = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        return LadderState(amp / np.linalg.norm(amp), 0.0, n_max)
+    reach = (n_max - 6) // 2
+    center = int(rng.integers(-reach, reach + 1))
+    if kind == "plane":
+        return initial_plane_wave(n_max, center)
+    widest = (n_max - abs(center)) / 16.0
+    return initial_gaussian(n_max, rng.uniform(0.5, max(0.6, widest)),
+                            center=center, chirp=rng.uniform(-1.0, 1.0),
+                            offset_phase=rng.uniform(-math.pi, math.pi))
+
+
+class TestModePruning:
+    """The dense route drops the smallest-weight modes whose weights sum to
+    at most PRUNE_BOUND.  Since |v_k(n)| <= 1, no amplitude moves by more
+    than the bound, and no population by more than 2 bound + bound^2."""
+
+    POPULATION_BOUND = 2.0 * PRUNE_BOUND + PRUNE_BOUND**2
+
+    def test_dropped_weight_stays_at_or_under_the_bound(self):
+        weights = np.array([1.0, 6e-15, 3e-15, 0.5j, 4e-15, 2e-16])
+        assert _kept_modes(weights).tolist() == [True, True, False, True,
+                                                 False, False]
+        assert _kept_modes(np.full(4, 1e-16)).sum() == 0
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.booleans(),
+           st.sampled_from(["plane", "packet", "complex"]))
+    @settings(max_examples=40, deadline=None)
+    def test_pruned_populations_match_every_mode(self, seed, gauged, kind):
+        rng = np.random.default_rng(seed)
+        h = trap_like_bands(rng, gauged)
+        assert np.iscomplexobj(_real_form(h)[1]) is not gauged
+        state = random_start(rng, kind, h.n_max)
+        t_end = float(rng.uniform(0.1, 20.0))
+        cfg = PropagationConfig(t_end=t_end, sample_interval=t_end / 8,
+                                method="dense")
+        spec = propagate(h, state, cfg)
+        ref = full_mode_reference(h, state.amplitudes, spec.times)
+        assert np.abs(spec.populations - ref).max() <= self.POPULATION_BOUND
+        assert spec.norm_drift_series.max() <= cfg.norm_drift_limit
+
+    def test_nothing_is_pruned_when_every_mode_carries_weight(self):
+        rng = np.random.default_rng(3)
+        h = trap_like_bands(rng, gauged=False)
+        _, _, modes = _eigensystem(h)
+        a0 = modes @ np.exp(1j * rng.uniform(-math.pi, math.pi, h.dim))
+        a0 /= np.linalg.norm(a0)
+        assert _kept_modes(start_weights(h, a0)).all()
+        times = np.linspace(0.0, 4.0, 9)
+        ref = full_mode_reference(h, a0, times)
+        assert np.abs(_dense_populations(h, a0, times) - ref).max() <= \
+            self.POPULATION_BOUND
+
+    def test_readme_ladder_keeps_64_of_129_modes(self, trap_electron,
+                                                 trap_field):
+        h = build_hamiltonian(trap_electron, trap_field, ModelVariant.full(), 64)
+        a0 = initial_plane_wave(64).amplitudes
+        assert _kept_modes(start_weights(h, a0)).sum() == 64
 
 
 ROUTES = ["dense", "banded"]
