@@ -24,7 +24,7 @@ from .errors import (
     ValidationError,
 )
 from .physics import CouplingSet, coupling_set, electron_from_energy
-from .propagate import PropagationConfig, Spectrogram, centroid_and_spread
+from .propagate import Spectrogram, centroid_and_spread
 from .scenario import Scenario, run_scenario, trap_cycle_estimate
 
 POPULATION_THRESHOLD = 1e-3
@@ -402,13 +402,7 @@ def _auto_sized(sc: Scenario, cycles: float = 2.0) -> Scenario:
     e = electron_from_energy(sc.kinetic_energy)
     cs = coupling_set(e, sc.field())
     span = cycles * trap_cycle_estimate(cs.beta, cs.kappa_mag)
-    cfg = PropagationConfig(
-        t_end=span,
-        sample_interval=span / 400.0,
-        method=sc.propagation.method,
-        step_tolerance=sc.propagation.step_tolerance,
-        norm_drift_limit=sc.propagation.norm_drift_limit,
-    )
+    cfg = replace(sc.propagation, t_end=span, sample_interval=span / 400.0)
     edge = math.sqrt(4.0 * cs.kappa_mag / cs.beta)
     margin = abs(sc.initial.center) + 8
     if sc.initial.kind == "gaussian":
@@ -448,6 +442,11 @@ def sweep(
     the first message.  Phase points differ only in the start's linear
     phase (see _scenario_at), so they share one Hamiltonian and the dense
     route diagonalizes it once for the whole grid.
+
+    The base's t_end, sample_interval, n_max and truncation_cap (config
+    keys propagation.t_end, propagation.sample_interval, truncation.n_max
+    and truncation.cap) are ignored: _auto_sized runs each point for two
+    trap cycles, sampled 400 times, on a lattice sized to its own trap.
     """
     if axis not in SWEEP_AXES:
         raise ValidationError(f"axis must be one of {SWEEP_AXES}")

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .analysis import POPULATION_THRESHOLD
 from .errors import ConfigError
 from .ladder import ModelVariant
 from .physics import photon_energy_from_wavelength
@@ -68,8 +69,6 @@ SCHEMA: dict[str, tuple] = {
     "initial.offset_phase": ("angle",),
     "propagation.t_end": ("time",),
     "propagation.sample_interval": ("time",),
-    "propagation.method": ("enum", ("auto", "dense", "banded")),
-    "propagation.step_tolerance": ("number",),
     "propagation.norm_drift_limit": ("number",),
     "truncation.n_max": ("int_or_auto",),
     "truncation.cap": ("int",),
@@ -80,7 +79,7 @@ SCHEMA: dict[str, tuple] = {
 @dataclass(frozen=True)
 class RunConfig:
     scenario: Scenario
-    threshold: float = 1e-3
+    threshold: float = POPULATION_THRESHOLD
 
 
 def _parse_lines(text: str) -> dict[str, str]:
@@ -259,9 +258,8 @@ def parse_config(text: str) -> RunConfig:
     propagation = PropagationConfig(
         t_end=t_end,
         sample_interval=got.get("propagation.sample_interval", t_end / 400.0),
-        method=got.get("propagation.method", "auto"),
-        step_tolerance=got.get("propagation.step_tolerance", 1e-9),
-        norm_drift_limit=got.get("propagation.norm_drift_limit", 1e-8),
+        norm_drift_limit=got.get("propagation.norm_drift_limit",
+                                 PropagationConfig.norm_drift_limit),
     )
 
     scenario = Scenario(
@@ -274,11 +272,11 @@ def parse_config(text: str) -> RunConfig:
         variant=variant,
         initial=initial,
         n_max=got.get("truncation.n_max"),
-        truncation_cap=got.get("truncation.cap", 4096),
+        truncation_cap=got.get("truncation.cap", Scenario.truncation_cap),
     )
     return RunConfig(
         scenario=scenario,
-        threshold=got.get("analysis.threshold", 1e-3),
+        threshold=got.get("analysis.threshold", RunConfig.threshold),
     )
 
 
@@ -339,8 +337,6 @@ def render_config(cfg: RunConfig) -> str:
     lines += [
         f"propagation.t_end = {_fmt(p.t_end)} fs",
         f"propagation.sample_interval = {_fmt(p.sample_interval)} fs",
-        f"propagation.method = {p.method}",
-        f"propagation.step_tolerance = {_fmt(p.step_tolerance)}",
         f"propagation.norm_drift_limit = {_fmt(p.norm_drift_limit)}",
         "truncation.n_max = "
         + ("auto" if sc.n_max is None else str(sc.n_max)),

@@ -74,6 +74,13 @@ class ModelVariant:
                 "hop-asymmetry terms by definition"
             )
 
+    def detuning(self, cs: CouplingSet) -> float:
+        """The linear slope of the on-site term, eV: detuning_override
+        when set, else the one the couplings derive."""
+        if self.detuning_override is not None:
+            return self.detuning_override
+        return cs.detuning
+
     @classmethod
     def full(cls, **kwargs) -> "ModelVariant":
         return cls(kind="full", **kwargs)
@@ -176,11 +183,7 @@ def build_hamiltonian(
         raise ValidationError("n_max must be at least 1")
     cs = couplings if couplings is not None else coupling_set(e, f)
     n = np.arange(-n_max, n_max + 1, dtype=float)
-    detuning = (
-        variant.detuning_override
-        if variant.detuning_override is not None
-        else cs.detuning
-    )
+    detuning = variant.detuning(cs)
     phase = f.initial_phase + math.pi / 2.0
 
     if variant.kind == "simplified":

@@ -2,36 +2,37 @@
 
 One production route and one independent oracle:
 
-* "dense", which "auto" always picks: diagonalize the Hermitian matrix once
-  (one numpy.linalg.eigh call) and apply exp(-i H t / hbar) exactly at
-  every sample time.  Exact up to eigensolver roundoff; cost grows with the
-  matrix dimension cubed.  The field phase enters a physical ladder only as
-  a gauge: with d_n = exp(i n theta), conj(d) H d has the bands
-  hop_1 exp(i theta) and hop_2 exp(2 i theta).  theta is read off the
-  largest hop_1 entry (half the argument of the largest hop_2 entry when
-  hop_1 vanishes), which makes both bands real, so the solve runs on a real
-  symmetric matrix.  Bands whose imaginary residue after this gauge
-  exceeds GAUGE_RESIDUE relative to the largest band entry (generic complex
-  bands) are solved as the complex matrix, with theta = 0.  The route
-  returns populations only, which never see the row phase d, and rebuilds
-  them from the kept modes: after the start's weights w = V^dagger conj(d)
-  a0, it drops modes smallest-|w| first while the dropped |w| sum to at
-  most PRUNE_BOUND.  Since |v_k(n)| <= 1, that moves no amplitude by more
-  than the bound and no population by more than 2 bound + bound^2.  A
-  narrow start in the trap leaves most modes idle: the README run keeps 64
-  of 129.  Populations are (V c_re)^2 + (V c_im)^2 on the real gauge and
-  |V c|^2 on the complex fallback, with c_k(t) = w_k exp(-i E_k t / hbar)
-  for the kept modes only.  The route keeps its last decomposition, dim^2
-  floats (8.4 MB at dim 1025), for the next call with bit-identical bands,
-  so the lattice a truncation search accepts is diagonalized once for the
-  trial and the run together, and a phase sweep once for all its points.
-* "banded", the oracle, run only when asked for by name: a Chebyshev series
+* propagate, the eigensolve (metadata method "dense"): diagonalize the
+  Hermitian matrix once (one numpy.linalg.eigh call) and apply
+  exp(-i H t / hbar) exactly at every sample time.  Exact up to eigensolver
+  roundoff; cost grows with the matrix dimension cubed.  The field phase
+  enters a physical ladder only as a gauge: with d_n = exp(i n theta),
+  conj(d) H d has the bands hop_1 exp(i theta) and hop_2 exp(2 i theta).
+  theta is read off the largest hop_1 entry (half the argument of the
+  largest hop_2 entry when hop_1 vanishes), which makes both bands real, so
+  the solve runs on a real symmetric matrix.  Bands whose imaginary residue
+  after this gauge exceeds GAUGE_RESIDUE relative to the largest band entry
+  (generic complex bands) are solved as the complex matrix, with theta = 0.
+  The route returns populations only, which never see the row phase d, and
+  rebuilds them from the kept modes: after the start's weights w = V^dagger
+  conj(d) a0, it drops modes smallest-|w| first while the dropped |w| sum to
+  at most PRUNE_BOUND.  Since |v_k(n)| <= 1, that moves no amplitude by more
+  than the bound and no population by more than 2 bound + bound^2.  A narrow
+  start in the trap leaves most modes idle: the README run keeps 64 of 129.
+  Populations are (V c_re)^2 + (V c_im)^2 on the real gauge and |V c|^2 on
+  the complex fallback, with c_k(t) = w_k exp(-i E_k t / hbar) for the kept
+  modes only.  The route keeps its last decomposition, dim^2 floats (8.4 MB
+  at dim 1025), for the next call with bit-identical bands, so the lattice a
+  truncation search accepts is diagonalized once for the trial and the run
+  together, and a phase sweep once for all its points.
+* the oracle, reached only through dense_oracle_compare: a Chebyshev series
   of exp(-i H span / hbar) on the three bands (Tal-Ezer and Kosloff, J.
   Chem. Phys. 81, 3967, 1984), one per sample span.  H is scaled by its
   Gershgorin bound R, so the coefficients are (-i)^k J_k(R span / hbar),
   and the series is cut after its last Bessel term of magnitude
-  step_tolerance / (number of spans) or more.  Deterministic by
-  construction: no adaptive controller state, no randomness.
+  tolerance / (number of spans) or more, with tolerance 1e-9.
+  Deterministic by construction: no adaptive controller state, no
+  randomness.
 
 Norm drift is measured and asserted against norm_drift_limit, never hidden
 by renormalization; the drift series rides along in the Spectrogram.
@@ -55,26 +56,18 @@ PRUNE_BOUND = 1e-14
 class PropagationConfig:
     """How to run one propagation.
 
-    t_end is the duration measured from the state's own time.  method is
-    "auto" or "dense" (both the eigensolve, at every size) or "banded"
-    (the Chebyshev-series oracle).  step_tolerance bounds the Bessel terms
-    the banded route drops over the whole run; the dense route is exact
-    and ignores it.
+    t_end is the duration measured from the state's own time.
     """
 
     t_end: float
     sample_interval: float
-    method: str = "auto"
-    step_tolerance: float = 1e-9
     norm_drift_limit: float = 1e-8
 
     def __post_init__(self) -> None:
         if not (self.t_end > 0) or not (self.sample_interval > 0):
             raise ValidationError("t_end and sample_interval must be positive")
-        if not (self.step_tolerance > 0) or not (self.norm_drift_limit > 0):
-            raise ValidationError("tolerances must be positive")
-        if self.method not in ("dense", "banded", "auto"):
-            raise ValidationError(f"unknown method {self.method!r}")
+        if not (self.norm_drift_limit > 0):
+            raise ValidationError("norm_drift_limit must be positive")
 
 
 @dataclass(frozen=True)
@@ -197,7 +190,8 @@ def _bessel_terms(x: float, cut: float) -> np.ndarray:
 
 
 def _evolve_banded(
-    h: LadderHamiltonian, a0: np.ndarray, times: np.ndarray, tolerance: float
+    h: LadderHamiltonian, a0: np.ndarray, times: np.ndarray,
+    tolerance: float = 1e-9,
 ) -> tuple[np.ndarray, int]:
     """Chebyshev series on the bands, one per sample span.
 
@@ -245,16 +239,7 @@ def propagate(
             f"Hamiltonian dimension {h.dim}"
         )
     times = _sample_times(s0.time, cfg)
-    method = "banded" if cfg.method == "banded" else "dense"
-
-    quality: dict = {"method": method}
-    if method == "dense":
-        populations = _dense_populations(h, s0.amplitudes, times)
-    else:
-        amplitudes, terms = _evolve_banded(h, s0.amplitudes, times,
-                                           cfg.step_tolerance)
-        quality["series_terms"] = terms
-        populations = np.abs(amplitudes) ** 2
+    populations = _dense_populations(h, s0.amplitudes, times)
     drift = np.abs(populations.sum(axis=1) - 1.0)
     worst = float(drift.max())
     if worst > cfg.norm_drift_limit:
@@ -266,11 +251,10 @@ def propagate(
         "n_max": h.n_max,
         "t_end": cfg.t_end,
         "sample_interval": cfg.sample_interval,
-        "step_tolerance": cfg.step_tolerance,
         "norm_drift_limit": cfg.norm_drift_limit,
         "max_norm_drift": worst,
+        "method": "dense",
     }
-    meta.update(quality)
     if metadata:
         meta.update(metadata)
     return Spectrogram(
@@ -283,13 +267,12 @@ def propagate(
 
 
 def dense_oracle_compare(h: LadderHamiltonian, s0: LadderState, t: float) -> float:
-    """Max-abs population discrepancy between the banded series and the
-    dense eigendecomposition at time t."""
+    """Max-abs population discrepancy between the Chebyshev-series oracle
+    and the dense eigendecomposition at time t."""
     if t <= 0:
         raise ValidationError("comparison time must be positive")
     times = np.array([s0.time, s0.time + t])
-    banded, _ = _evolve_banded(h, s0.amplitudes, times,
-                               PropagationConfig.step_tolerance)
+    banded, _ = _evolve_banded(h, s0.amplitudes, times)
     p_banded = np.abs(banded[-1]) ** 2
     p_dense = _dense_populations(h, s0.amplitudes, times)[-1]
     return float(np.abs(p_banded - p_dense).max())

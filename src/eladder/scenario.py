@@ -132,6 +132,11 @@ class Scenario:
     n_max: int | None = None        # None -> adaptive truncation
     truncation_cap: int = TRUNCATION_CAP
 
+    def __post_init__(self) -> None:
+        if self.truncation_cap < 1:
+            raise ValidationError(
+                f"truncation cap must be at least 1, got {self.truncation_cap}")
+
     def electron(self) -> ElectronParams:
         return electron_from_energy(self.kinetic_energy)
 
@@ -169,11 +174,6 @@ def run_scenario(sc: Scenario) -> Spectrogram:
 
     h = build_hamiltonian(e, f, sc.variant, n_max, couplings=cs)
     s0 = sc.initial.build(n_max, sc.photon_energy)
-    detuning = (
-        sc.variant.detuning_override
-        if sc.variant.detuning_override is not None
-        else cs.detuning
-    )
     metadata = {
         "kinetic_energy": sc.kinetic_energy,
         "amplitude": sc.amplitude,
@@ -186,7 +186,7 @@ def run_scenario(sc: Scenario) -> Spectrogram:
         "beta": cs.beta,
         "kappa_mag": cs.kappa_mag,
         "ponderomotive": cs.ponderomotive,
-        "detuning": detuning,
+        "detuning": sc.variant.detuning(cs),
         "nath_rho": cs.nath_rho,
         "initial_kind": sc.initial.kind,
         "initial_center": sc.initial.center,

@@ -91,7 +91,7 @@ def test_02_sideband_comb_limit(trap_electron, trap_field, trap_couplings):
     flat = ModelVariant.simplified(quadratic_scale=0.0)
     h = build_hamiltonian(trap_electron, trap_field, flat, 48)
     spec = propagate(h, initial_plane_wave(48), PropagationConfig(
-        t_end=t20, sample_interval=t20 / 40.0, method="dense"))
+        t_end=t20, sample_interval=t20 / 40.0))
     worst_flat = max(
         float(np.abs(row - jv(n, 2.0 * kappa * t / HBAR) ** 2).max())
         for t, row in zip(spec.times, spec.populations))
@@ -100,7 +100,7 @@ def test_02_sideband_comb_limit(trap_electron, trap_field, trap_couplings):
     curved = build_hamiltonian(trap_electron, trap_field,
                                ModelVariant.simplified(), 48)
     early = propagate(curved, initial_plane_wave(48), PropagationConfig(
-        t_end=2.0, sample_interval=0.05, method="dense"))
+        t_end=2.0, sample_interval=0.05))
     worst_early = max(
         float(np.abs(row - jv(n, 2.0 * kappa * t / HBAR) ** 2).max())
         for t, row in zip(early.times, early.populations))

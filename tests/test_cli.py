@@ -125,6 +125,30 @@ class TestExitCodes:
         assert code == 2
         assert "error: category=validation" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cap", ["-5", "0"])
+    def test_truncation_cap_below_1_is_2(self, cap, tmp_path, capsys):
+        # n_max = auto, so a cap that parsed would fail the search as exit 3
+        path = tmp_path / "cap.cfg"
+        path.write_text(CHEAP.replace("truncation.n_max = 16",
+                                      f"truncation.cap = {cap}"))
+        code = main(["simulate", str(path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: category=validation truncation cap ")
+        assert "at least 1" in err
+
+    @pytest.mark.parametrize("line", ["propagation.method = banded",
+                                      "propagation.method = dense",
+                                      "propagation.step_tolerance = 1e-9"])
+    def test_retired_propagation_key_is_2(self, line, tmp_path, capsys):
+        path = tmp_path / "old.cfg"
+        path.write_text(CHEAP + line + "\n")
+        code = main(["simulate", str(path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: category=validation ")
+        assert f"unknown key {line.split(' = ')[0]!r}" in err
+
     def test_missing_config_is_4(self, tmp_path, capsys):
         code = main(["simulate", str(tmp_path / "absent.cfg"),
                      "--out", str(tmp_path / "o")])
@@ -163,7 +187,7 @@ class TestExitCodes:
         ("propagation.t_end", "-inf fs"),
         ("field.phase", "1e308 pi"),      # finite number, overflows in rad
         ("analysis.threshold", "nan"),
-        ("propagation.step_tolerance", "inf"),
+        ("propagation.norm_drift_limit", "inf"),
     ]
 
     @pytest.mark.parametrize("key,value", NON_FINITE)

@@ -27,8 +27,6 @@ class TestDefaults:
         assert sc.initial.center == 0
         assert sc.propagation.t_end == 60.0
         assert sc.propagation.sample_interval == pytest.approx(60.0 / 400.0)
-        assert sc.propagation.method == "auto"
-        assert sc.propagation.step_tolerance == 1e-9
         assert sc.propagation.norm_drift_limit == 1e-8
         assert sc.n_max is None
         assert sc.truncation_cap == 4096
@@ -112,7 +110,7 @@ ROUND_TRIP_CASES = [
     MINIMAL + "matching.wavevector = 0.397 1/nm\n",
     MINIMAL + ("model.kind = simplified\nmodel.detuning_override = 0.01 eV\n"
                "model.quadratic_scale = 0.5\n"),
-    MINIMAL + ("field.phase = -90 deg\npropagation.method = banded\n"
+    MINIMAL + ("field.phase = -90 deg\npropagation.norm_drift_limit = 1e-9\n"
                "propagation.sample_interval = 0.5 fs\n"
                "truncation.n_max = 48\ntruncation.cap = 512\n"
                "analysis.threshold = 0.01\n"),
@@ -142,7 +140,7 @@ BAD_CASES = [
     (MINIMAL.replace("100 eV", "abc eV"), "bad number"),
     (MINIMAL.replace("100 eV", "100 fs"), "not a energy unit"),
     (MINIMAL.replace("100 eV", "100 eV extra"), "cannot parse quantity"),
-    (MINIMAL + "propagation.method = fast\n", "expected one of"),
+    (MINIMAL + "initial.mode = fast\n", "expected one of"),
     (MINIMAL + "model.include_ponderomotive = yes\n", "expected true or false"),
     (MINIMAL + "initial.center = 1.5\n", "bad integer"),
     (MINIMAL.replace("electron.energy = 100 eV\n", ""), "electron.energy"),

@@ -64,7 +64,7 @@ class TestBesselAgainstLattice:
         variant = ModelVariant.simplified(detuning_override=0.0, quadratic_scale=0.0)
         h = build_hamiltonian(trap_electron, trap_field, variant, 48)
         spec = propagate(h, initial_plane_wave(48),
-                         PropagationConfig(t_end=t, sample_interval=t, method="dense"))
+                         PropagationConfig(t_end=t, sample_interval=t))
         n = np.arange(-48, 49)
         reference = jv(n, 2.0 * cs.kappa_mag * t / HBAR) ** 2
         assert np.abs(spec.populations[-1] - reference).max() < 1e-12

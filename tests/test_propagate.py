@@ -1,6 +1,6 @@
-"""Sampling grids, the two integration routes, the real gauge of the dense
-route, its eigendecomposition slot, its mode pruning, and moment
-extraction."""
+"""Sampling grids, the eigensolve and its Chebyshev-series oracle, the
+real gauge of the eigensolve, its eigendecomposition slot, its mode
+pruning, and moment extraction."""
 import math
 
 import numpy as np
@@ -28,8 +28,10 @@ from eladder.propagate import (
     _bessel_terms,
     _dense_populations,
     _eigensystem,
+    _evolve_banded,
     _kept_modes,
     _real_form,
+    _sample_times,
     centroid_and_spread,
     dense_oracle_compare,
     propagate,
@@ -49,6 +51,16 @@ def small_state():
     return initial_plane_wave(8)
 
 
+def chebyshev(h, s0, cfg):
+    """The Chebyshev-series oracle on propagate's sample grid, as a
+    Spectrogram; it checks no drift limit."""
+    times = _sample_times(s0.time, cfg)
+    amplitudes, _ = _evolve_banded(h, s0.amplitudes, times)
+    populations = np.abs(amplitudes) ** 2
+    return Spectrogram(times, populations,
+                       np.abs(populations.sum(axis=1) - 1.0), h.n_max)
+
+
 def null_hamiltonian(n_max):
     """All bands zero: evolution is the identity, any dimension is cheap."""
     e = electron_from_energy(100.0)
@@ -59,7 +71,7 @@ def null_hamiltonian(n_max):
 
 class TestSampleGrid:
     def test_divisible_span_has_no_extra_point(self, small_h, small_state):
-        cfg = PropagationConfig(t_end=6.0, sample_interval=0.5, method="dense")
+        cfg = PropagationConfig(t_end=6.0, sample_interval=0.5)
         spec = propagate(small_h, small_state, cfg)
         assert len(spec.times) == 13
         assert spec.times[0] == 0.0
@@ -67,20 +79,20 @@ class TestSampleGrid:
         assert np.allclose(np.diff(spec.times), 0.5, atol=1e-12)
 
     def test_remainder_appends_exact_final_time(self, small_h, small_state):
-        cfg = PropagationConfig(t_end=1.0, sample_interval=0.3, method="dense")
+        cfg = PropagationConfig(t_end=1.0, sample_interval=0.3)
         spec = propagate(small_h, small_state, cfg)
         assert np.allclose(spec.times[:4], [0.0, 0.3, 0.6, 0.9])
         assert spec.times[-1] == 1.0
 
     def test_grid_starts_at_state_time(self, small_h, small_state):
         shifted = LadderState(small_state.amplitudes.copy(), 2.5, 8)
-        cfg = PropagationConfig(t_end=0.9, sample_interval=0.3, method="dense")
+        cfg = PropagationConfig(t_end=0.9, sample_interval=0.3)
         spec = propagate(small_h, shifted, cfg)
         assert spec.times[0] == 2.5
         assert np.isclose(spec.times[-1], 3.4)
 
     def test_arrays_are_read_only(self, small_h, small_state):
-        cfg = PropagationConfig(t_end=1.0, sample_interval=0.5, method="dense")
+        cfg = PropagationConfig(t_end=1.0, sample_interval=0.5)
         spec = propagate(small_h, small_state, cfg)
         with pytest.raises(ValueError):
             spec.times[0] = -1.0
@@ -90,34 +102,31 @@ class TestSampleGrid:
 
 class TestRoutes:
     def test_dense_and_banded_agree_everywhere(self, small_h, small_state):
-        kw = dict(t_end=6.0, sample_interval=0.5)
-        dense = propagate(small_h, small_state, PropagationConfig(method="dense", **kw))
-        banded = propagate(small_h, small_state, PropagationConfig(method="banded", **kw))
+        cfg = PropagationConfig(t_end=6.0, sample_interval=0.5)
+        dense = propagate(small_h, small_state, cfg)
+        banded = chebyshev(small_h, small_state, cfg)
         assert np.abs(dense.populations - banded.populations).max() < 1e-9
 
     def test_dense_oracle_compare(self, small_h, small_state):
         assert dense_oracle_compare(small_h, small_state, 6.0) < 1e-9
 
-    def test_auto_picks_dense_below_cap(self, small_h, small_state):
-        cfg = PropagationConfig(t_end=1.0, sample_interval=0.5)
-        spec = propagate(small_h, small_state, cfg)
-        assert spec.metadata["method"] == "dense"
-
-    def test_auto_picks_dense_at_every_size(self):
-        # no lattice size moves auto off the eigensolve; banded runs only
-        # when named
+    def test_propagate_is_the_eigensolve_at_every_size(self):
         h = null_hamiltonian(513)
-        kw = dict(t_end=1.0, sample_interval=0.5)
-        spec = propagate(h, initial_plane_wave(513), PropagationConfig(**kw))
+        cfg = PropagationConfig(t_end=1.0, sample_interval=0.5)
+        spec = propagate(h, initial_plane_wave(513), cfg)
         assert h.dim == 1027
         assert spec.metadata["method"] == "dense"
-        assert "series_terms" not in spec.metadata
         assert spec.metadata["max_norm_drift"] < 1e-12
-        banded = propagate(h, initial_plane_wave(513),
-                           PropagationConfig(method="banded", **kw))
-        assert banded.metadata["max_norm_drift"] == 0.0
-        # a zero spectrum leaves one series term per span
-        assert banded.metadata["series_terms"] == len(banded.times) - 1
+
+    def test_oracle_on_a_zero_spectrum(self):
+        # one series term per span, and the identity keeps the norm exact
+        h = null_hamiltonian(513)
+        times = np.array([0.0, 0.5, 1.0])
+        amplitudes, terms = _evolve_banded(
+            h, initial_plane_wave(513).amplitudes, times)
+        drift = np.abs((np.abs(amplitudes) ** 2).sum(axis=1) - 1.0)
+        assert terms == len(times) - 1
+        assert drift.max() == 0.0
 
     def test_oracle_rejects_nonpositive_time(self, small_h, small_state):
         with pytest.raises(ValidationError):
@@ -137,37 +146,35 @@ class TestBesselTerms:
 
 
 class TestQualityRecord:
-    BASE_KEYS = {"n_max", "t_end", "sample_interval", "step_tolerance",
-                 "norm_drift_limit", "max_norm_drift", "method"}
+    BASE_KEYS = {"n_max", "t_end", "sample_interval", "norm_drift_limit",
+                 "max_norm_drift", "method"}
 
     def test_dense_metadata(self, small_h, small_state):
-        cfg = PropagationConfig(t_end=1.0, sample_interval=0.5, method="dense")
+        cfg = PropagationConfig(t_end=1.0, sample_interval=0.5)
         spec = propagate(small_h, small_state, cfg)
-        assert self.BASE_KEYS <= set(spec.metadata)
-        assert "series_terms" not in spec.metadata
+        assert set(spec.metadata) == self.BASE_KEYS
+        assert spec.metadata["method"] == "dense"
         assert spec.metadata["n_max"] == 8
         assert spec.metadata["t_end"] == 1.0
 
-    def test_banded_metadata_reports_series_terms(self, small_h, small_state):
-        cfg = PropagationConfig(t_end=6.0, sample_interval=0.5, method="banded")
-        spec = propagate(small_h, small_state, cfg)
-        # at least one term per span
-        assert spec.metadata["series_terms"] >= len(spec.times) - 1
-        assert "refinement_error" not in spec.metadata
+    def test_oracle_sums_at_least_one_term_per_span(self, small_h,
+                                                    small_state):
+        times = np.linspace(0.0, 6.0, 13)
+        _, terms = _evolve_banded(small_h, small_state.amplitudes, times)
+        assert terms >= len(times) - 1
 
     @pytest.mark.parametrize("tol", [1e-4, 1e-6])
     def test_looser_tolerance_cuts_the_series_shorter(self, tol):
         h, state, dense = trap_packet(0.3, 0.0, "full", n_max=32, t_end=8.0)
-        kw = dict(t_end=8.0, sample_interval=1.0, method="banded")
-        tight = propagate(h, state, PropagationConfig(**kw))
-        loose = propagate(h, state, PropagationConfig(
-            step_tolerance=tol, norm_drift_limit=tol, **kw))
-        assert loose.metadata["series_terms"] < tight.metadata["series_terms"]
-        assert np.abs(loose.populations - dense.populations).max() < tol
-        assert np.abs(tight.populations - dense.populations).max() < 1e-9
+        tight, tight_terms = _evolve_banded(h, state.amplitudes, dense.times)
+        loose, loose_terms = _evolve_banded(h, state.amplitudes, dense.times,
+                                            tol)
+        assert loose_terms < tight_terms
+        assert np.abs(np.abs(loose) ** 2 - dense.populations).max() < tol
+        assert np.abs(np.abs(tight) ** 2 - dense.populations).max() < 1e-9
 
     def test_caller_metadata_is_merged(self, small_h, small_state):
-        cfg = PropagationConfig(t_end=1.0, sample_interval=0.5, method="dense")
+        cfg = PropagationConfig(t_end=1.0, sample_interval=0.5)
         spec = propagate(small_h, small_state, cfg, metadata={"tag": "x"})
         assert spec.metadata["tag"] == "x"
         assert self.BASE_KEYS <= set(spec.metadata)
@@ -177,9 +184,7 @@ class TestGuards:
     @pytest.mark.parametrize("kw", [
         dict(t_end=0.0, sample_interval=0.5),
         dict(t_end=1.0, sample_interval=-0.5),
-        dict(t_end=1.0, sample_interval=0.5, step_tolerance=0.0),
         dict(t_end=1.0, sample_interval=0.5, norm_drift_limit=-1e-8),
-        dict(t_end=1.0, sample_interval=0.5, method="magic"),
     ])
     def test_config_validation(self, kw):
         with pytest.raises(ValidationError):
@@ -196,7 +201,7 @@ class TestGuards:
         off = small_state.amplitudes * (1.0 + 5e-9)
         state = LadderState(off, 0.0, 8)
         cfg = PropagationConfig(t_end=1.0, sample_interval=0.5,
-                                method="dense", norm_drift_limit=1e-12)
+                                norm_drift_limit=1e-12)
         with pytest.raises(IntegrationError, match="norm drift"):
             propagate(small_h, state, cfg)
 
@@ -209,14 +214,14 @@ def complex_reference(h, a0, times):
     return (modes @ (phases * weights[:, None])).T
 
 
-def trap_packet(phase, offset, kind, n_max=32, t_end=8.0, method="dense"):
+def trap_packet(phase, offset, kind, n_max=32, t_end=8.0, evolve=propagate):
     e = electron_from_energy(100.0)
     f = matched_field(e, 1.0, 1.54, initial_phase=phase)
     variant = ModelVariant.full() if kind == "full" else ModelVariant.simplified()
     h = build_hamiltonian(e, f, variant, n_max)
     state = initial_gaussian(n_max, 1.5, offset_phase=offset)
-    cfg = PropagationConfig(t_end=t_end, sample_interval=t_end / 8, method=method)
-    return h, state, propagate(h, state, cfg)
+    cfg = PropagationConfig(t_end=t_end, sample_interval=t_end / 8)
+    return h, state, evolve(h, state, cfg)
 
 
 PHASES = st.floats(min_value=-math.pi, max_value=math.pi)
@@ -263,9 +268,10 @@ class TestRealGauge:
         assert theta == 0.0 and np.array_equal(m, h.to_dense())
         amp = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         state = LadderState(amp / np.linalg.norm(amp), 0.0, n_max)
-        kw = dict(t_end=float(rng.uniform(0.3, 1.0)), sample_interval=0.25)
-        dense = propagate(h, state, PropagationConfig(method="dense", **kw))
-        banded = propagate(h, state, PropagationConfig(method="banded", **kw))
+        cfg = PropagationConfig(t_end=float(rng.uniform(0.3, 1.0)),
+                                sample_interval=0.25)
+        dense = propagate(h, state, cfg)
+        banded = chebyshev(h, state, cfg)
         assert np.abs(dense.populations - banded.populations).max() < 1e-9
 
 
@@ -384,8 +390,7 @@ class TestModePruning:
         assert np.iscomplexobj(_real_form(h)[1]) is not gauged
         state = random_start(rng, kind, h.n_max)
         t_end = float(rng.uniform(0.1, 20.0))
-        cfg = PropagationConfig(t_end=t_end, sample_interval=t_end / 8,
-                                method="dense")
+        cfg = PropagationConfig(t_end=t_end, sample_interval=t_end / 8)
         spec = propagate(h, state, cfg)
         ref = full_mode_reference(h, state.amplitudes, spec.times)
         assert np.abs(spec.populations - ref).max() <= self.POPULATION_BOUND
@@ -410,17 +415,19 @@ class TestModePruning:
         assert _kept_modes(start_weights(h, a0)).sum() == 64
 
 
-ROUTES = ["dense", "banded"]
+ROUTES = [pytest.param(propagate, id="dense"),
+          pytest.param(chebyshev, id="banded")]
 
 
 class TestRouteProperties:
-    """Closed-form limits that every route must meet, at dim <= 129."""
+    """Closed-form limits that the eigensolve and its oracle must both
+    meet, at dim <= 129."""
 
-    @pytest.mark.parametrize("method", ROUTES)
+    @pytest.mark.parametrize("evolve", ROUTES)
     @given(st.floats(min_value=0.05, max_value=5.0), PHASES,
            st.floats(min_value=0.1, max_value=24.0))
     @settings(max_examples=20, deadline=None)
-    def test_hopping_only_ladder_is_a_bessel_comb(self, method, amplitude,
+    def test_hopping_only_ladder_is_a_bessel_comb(self, evolve, amplitude,
                                                   phase, x):
         """P_n(t) = J_n(2 |kappa| t / hbar)^2; x is the final argument,
         and J_64(24) keeps the lattice edge out of reach."""
@@ -431,44 +438,44 @@ class TestRouteProperties:
         flat = ModelVariant.simplified(detuning_override=0.0, quadratic_scale=0.0)
         h = build_hamiltonian(e, f, flat, 64)
         t = x * HBAR / (2.0 * kappa)
-        spec = propagate(h, initial_plane_wave(64), PropagationConfig(
-            t_end=t, sample_interval=t / 4, method=method))
+        spec = evolve(h, initial_plane_wave(64), PropagationConfig(
+            t_end=t, sample_interval=t / 4))
         n = spec.sideband_indices
         ref = jv(n, 2.0 * kappa * (spec.times[:, None] - spec.times[0]) / HBAR) ** 2
         assert np.abs(spec.populations - ref).max() < 1e-9
 
-    @pytest.mark.parametrize("method", ROUTES)
+    @pytest.mark.parametrize("evolve", ROUTES)
     @given(st.floats(min_value=20.0, max_value=200.0),
            st.floats(min_value=0.1, max_value=3.0), PHASES,
            st.floats(min_value=0.5, max_value=20.0))
     @settings(max_examples=20, deadline=None)
-    def test_simplified_model_is_mirror_symmetric(self, method, energy,
+    def test_simplified_model_is_mirror_symmetric(self, evolve, energy,
                                                   amplitude, phase, t_end):
         """At zero detuning the on-site term beta n^2 and a plane start at
         n = 0 are even in n, so P_n(t) = P_-n(t) on the symmetric lattice."""
         e = electron_from_energy(energy)
         f = matched_field(e, amplitude, 1.54, initial_phase=phase)
         h = build_hamiltonian(e, f, ModelVariant.simplified(detuning_override=0.0), 64)
-        spec = propagate(h, initial_plane_wave(64), PropagationConfig(
-            t_end=t_end, sample_interval=t_end / 4, method=method))
+        spec = evolve(h, initial_plane_wave(64), PropagationConfig(
+            t_end=t_end, sample_interval=t_end / 4))
         p = spec.populations
         assert np.abs(p - p[:, ::-1]).max() < 1e-10
 
-    @pytest.mark.parametrize("method", ROUTES)
+    @pytest.mark.parametrize("evolve", ROUTES)
     @given(PHASES, PHASES, PHASES, st.sampled_from(["full", "simplified"]))
     @settings(max_examples=15, deadline=None)
-    def test_field_phase_is_a_gauge(self, method, phase, offset, alpha, kind):
+    def test_field_phase_is_a_gauge(self, evolve, phase, offset, alpha, kind):
         """H(phi0 + alpha) = G^dagger H(phi0) G with G = diag(exp(i n alpha)),
         so shifting the packet's linear phase by -alpha undoes the shift."""
-        _, _, base = trap_packet(phase, offset, kind, t_end=20.0, method=method)
+        _, _, base = trap_packet(phase, offset, kind, t_end=20.0, evolve=evolve)
         _, _, moved = trap_packet(phase + alpha, offset - alpha, kind,
-                                  t_end=20.0, method=method)
+                                  t_end=20.0, evolve=evolve)
         assert np.abs(base.populations - moved.populations).max() < 1e-10
 
-    @pytest.mark.parametrize("method", ROUTES)
+    @pytest.mark.parametrize("evolve", ROUTES)
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=20, deadline=None)
-    def test_norm_stays_within_the_limit(self, method, seed):
+    def test_norm_stays_within_the_limit(self, evolve, seed):
         """Random pentadiagonal bands of trap-like size (eV), a random
         normalised start and a random span of up to 20 fs."""
         rng = np.random.default_rng(seed)
@@ -482,9 +489,8 @@ class TestRouteProperties:
         amp = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         state = LadderState(amp / np.linalg.norm(amp), 0.0, n_max)
         t_end = float(rng.uniform(0.1, 20.0))
-        cfg = PropagationConfig(t_end=t_end, sample_interval=t_end / 4,
-                                method=method)
-        spec = propagate(h, state, cfg)
+        cfg = PropagationConfig(t_end=t_end, sample_interval=t_end / 4)
+        spec = evolve(h, state, cfg)
         drift = np.abs(spec.populations.sum(axis=1) - 1.0)
         assert drift.max() <= cfg.norm_drift_limit
         assert np.array_equal(drift, spec.norm_drift_series)
