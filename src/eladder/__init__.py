@@ -70,9 +70,11 @@ from .physics import (
     recoil_ratio,
 )
 from .propagate import (
+    Decomposition,
     PropagationConfig,
     Spectrogram,
     centroid_and_spread,
+    decompose,
     dense_oracle_compare,
     propagate,
 )
@@ -83,6 +85,7 @@ __all__ = [
     "BesselSolution",
     "ConfigError",
     "CouplingSet",
+    "Decomposition",
     "ElectronParams",
     "ExportError",
     "FieldParams",
@@ -114,6 +117,7 @@ __all__ = [
     "collapse_times",
     "coupling_set",
     "critical_angle_cosine",
+    "decompose",
     "dense_oracle_compare",
     "electron_from_energy",
     "export_spectrogram",

@@ -24,10 +24,11 @@ from .errors import (
     ValidationError,
 )
 from .physics import CouplingSet, coupling_set, electron_from_energy
-from .propagate import Spectrogram, centroid_and_spread
-from .scenario import Scenario, run_scenario, trap_cycle_estimate
+from .propagate import (POPULATION_THRESHOLD, Decomposition, Spectrogram,
+                        centroid_and_spread)
+from .scenario import (Scenario, decompose_scenario, run_scenario,
+                       trap_cycle_estimate)
 
-POPULATION_THRESHOLD = 1e-3
 PRESENCE_FLOOR = 1e-9
 
 RAMAN_NATH_LIMIT = 0.1
@@ -413,6 +414,7 @@ def _auto_sized(sc: Scenario, cycles: float = 2.0) -> Scenario:
 
 def _evaluate_point(
     base: Scenario, axis: str, value: float, observable: str, threshold: float,
+    dec: Decomposition | None,
 ) -> float:
     sc = _scenario_at(base, axis, value)
     if observable == "rho":
@@ -420,7 +422,7 @@ def _evaluate_point(
         if cs.nath_rho is None:
             raise ValidationError("rho undefined at zero field")
         return cs.nath_rho
-    spec = run_scenario(_auto_sized(sc))
+    spec = run_scenario(_auto_sized(sc), dec)
     if observable == "trap_width":
         return trap_width(spec, threshold).width
     if observable == "revival_period":
@@ -440,8 +442,8 @@ def sweep(
     Rows come back in grid order.  Per-point failures are recorded in the
     row and the sweep continues; if every point fails, SweepError carries
     the first message.  Phase points differ only in the start's linear
-    phase (see _scenario_at), so they share one Hamiltonian and the dense
-    route diagonalizes it once for the whole grid.
+    phase (see _scenario_at), so they share one Hamiltonian: the sweep
+    decomposes it once and runs every point on that decomposition.
 
     The base's t_end, sample_interval, n_max and truncation_cap (config
     keys propagation.t_end, propagation.sample_interval, truncation.n_max
@@ -457,9 +459,13 @@ def sweep(
         raise ValidationError("sweep grid is empty")
 
     rows = []
+    shared = None
     for i, v in enumerate(values):
         try:
-            result = _evaluate_point(base, axis, v, observable, threshold)
+            if axis == "phase" and observable != "rho" and shared is None:
+                shared = decompose_scenario(_auto_sized(base))
+            result = _evaluate_point(base, axis, v, observable, threshold,
+                                     shared)
             rows.append(SweepRow(i, axis, v, observable, result))
         except (LadderError, ValueError) as exc:
             rows.append(SweepRow(i, axis, v, observable, None, error=str(exc)))

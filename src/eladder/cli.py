@@ -42,8 +42,9 @@ from .oracles import (
 )
 from .persist import TEXT_FORMAT, export_spectrogram, write_bundle, write_table
 from .physics import coupling_set
-from .propagate import PropagationConfig, dense_oracle_compare, propagate
-from .scenario import InitialSpec, run_scenario
+from .propagate import (PropagationConfig, decompose, dense_oracle_compare,
+                        propagate)
+from .scenario import InitialSpec, decompose_scenario, run_scenario
 
 NUMERICAL_EXIT = 3
 IO_EXIT = 4
@@ -172,7 +173,7 @@ def cmd_oracle_check(args) -> int:
         n_chk = 48
         h = build_hamiltonian(electron, field, flat, n_chk)
         state = initial_plane_wave(n_chk)
-        spec = propagate(h, state, PropagationConfig(
+        spec = propagate(decompose(h), state, PropagationConfig(
             t_end=t_end, sample_interval=t_end / 16.0))
         sol = BesselSolution(cs.kappa_mag)
         worst = 0.0
@@ -184,12 +185,16 @@ def cmd_oracle_check(args) -> int:
                               f"max population error {worst:.3e} over "
                               f"{t_end:.3g} fs (limit 1e-06)")
 
-    # 2. Banded Chebyshev series against exact diagonalization.
+    # 2. Banded Chebyshev series against exact diagonalization, on the
+    # run's own decomposition when the two lattices are the same.
+    run = decompose_scenario(sc)
     n_cmp = min(sc.n_max or 64, 128)
-    h = build_hamiltonian(electron, field, sc.variant, n_cmp)
+    dec = run
+    if run.n_max != n_cmp:
+        dec = decompose(build_hamiltonian(electron, field, sc.variant, n_cmp))
     state = sc.initial.build(n_cmp, sc.photon_energy)
     t_cmp = min(sc.propagation.t_end, 20.0)
-    err = dense_oracle_compare(h, state, t_cmp)
+    err = dense_oracle_compare(dec, state, t_cmp)
     all_ok &= _check_line("stepper", err < 1e-6,
                           f"max population difference {err:.3e} at "
                           f"{t_cmp:.3g} fs (limit 1e-06)")
@@ -201,7 +206,9 @@ def cmd_oracle_check(args) -> int:
         sc_pair = sc
         if sc.initial.kind != "plane" or sc.initial.center != 1:
             sc_pair = replace(sc, initial=InitialSpec(center=1))
-        spec = run_scenario(sc_pair)
+        # Same Hamiltonian as the run unless a truncation search sizes it.
+        shared = sc_pair is sc or sc.n_max is not None
+        spec = run_scenario(sc_pair, run if shared else None)
         try:
             transfer = population_transfer(spec, target=-1, pair=(1, -1))
             if transfer.periods:
@@ -223,7 +230,7 @@ def cmd_oracle_check(args) -> int:
                               f"rho = {rho_text}, pair coupling not isolated")
 
     # 4. Norm conservation on the configured run itself.
-    spec = run_scenario(sc)
+    spec = run_scenario(sc, run)
     drift = float(spec.norm_drift_series.max())
     limit = sc.propagation.norm_drift_limit
     all_ok &= _check_line("norm", drift <= limit,

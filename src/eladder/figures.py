@@ -54,8 +54,8 @@ def _trap_scenario(initial: InitialSpec, n_max: int, t_end: float,
     )
 
 
-def _write_moments(spec, path: Path, threshold: float = 1e-3) -> None:
-    m = centroid_and_spread(spec, threshold)
+def _write_moments(spec, path: Path) -> None:
+    m = centroid_and_spread(spec)
     rows = zip(m.times, m.centroid, m.variance, m.n_low, m.n_high)
     write_table(path, ["t_fs", "centroid_n", "variance_n2",
                        "edge_low_n", "edge_high_n"],

@@ -31,12 +31,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .constants import ELECTRON_MASS, HBAR
 from .errors import ResourceLimitError, TruncationError, ValidationError
 from .physics import CouplingSet, ElectronParams, FieldParams, coupling_set
+
+if TYPE_CHECKING:
+    from .propagate import Decomposition
 
 NORM_TOLERANCE = 1e-8
 TAIL_GUARD = 1e-10
@@ -176,12 +180,11 @@ def build_hamiltonian(
     f: FieldParams,
     variant: ModelVariant,
     n_max: int,
-    couplings: CouplingSet | None = None,
 ) -> LadderHamiltonian:
     """Assemble the banded Hamiltonian for 2*n_max+1 sidebands."""
     if n_max < 1:
         raise ValidationError("n_max must be at least 1")
-    cs = couplings if couplings is not None else coupling_set(e, f)
+    cs = coupling_set(e, f)
     n = np.arange(-n_max, n_max + 1, dtype=float)
     detuning = variant.detuning(cs)
     phase = f.initial_phase + math.pi / 2.0
@@ -352,19 +355,21 @@ def adaptive_truncation(
     start: int = TRUNCATION_START,
     hard_cap: int = TRUNCATION_CAP,
     guard: float = TAIL_GUARD,
-) -> int:
+) -> Decomposition:
     """Find a lattice half-width that keeps the population of the outer two
-    sites below `guard` up to the time horizon.
+    sites below `guard` up to the time horizon, and return the decomposition
+    of the Hamiltonian on it; its n_max is the size.
 
     No size is below the support of the initial state: two sites beyond its
     `guard` mass, and wide enough that its edge amplitudes pass the rule of
     initial_gaussian.  With no field the dynamics is diagonal, so the answer
     is that support; otherwise the search tries max(start, support),
     doubling, and returns the first size that passes a trial evolution
-    sampled along the horizon.  Any size above hard_cap raises
+    sampled along the horizon.  A failed trial's decomposition is dropped
+    before the next one is made.  Any size above hard_cap raises
     ResourceLimitError.
     """
-    from .propagate import PropagationConfig, propagate  # local: avoids cycle
+    from .propagate import PropagationConfig, decompose, propagate  # avoids cycle
 
     if t_max <= 0:
         raise ValidationError("time horizon must be positive")
@@ -376,14 +381,15 @@ def adaptive_truncation(
             raise ResourceLimitError(
                 f"truncation search exceeded the cap of {hard_cap} sidebands"
             )
+        dec = decompose(build_hamiltonian(e, f, variant, n_try))
         if f.amplitude == 0.0:
-            return n_try
-        h = build_hamiltonian(e, f, variant, n_try)
+            return dec
         trial = _embed(state, n_try)
         cfg = PropagationConfig(t_end=t_max, sample_interval=t_max / 32.0)
-        spec = propagate(h, trial, cfg)
-        n_abs = np.abs(h.indices())
+        spec = propagate(dec, trial, cfg)
+        n_abs = np.abs(dec.h.indices())
         tail = spec.populations[:, n_abs >= n_try - 2].sum(axis=1)
         if float(tail.max()) < guard:
-            return n_try
+            return dec
+        del dec
         n_try *= 2

@@ -21,8 +21,9 @@ One production route and one independent oracle:
   start in the trap leaves most modes idle: the README run keeps 64 of 129.
   Populations are (V c_re)^2 + (V c_im)^2 on the real gauge and |V c|^2 on
   the complex fallback, with c_k(t) = w_k exp(-i E_k t / hbar) for the kept
-  modes only.  The route keeps its last decomposition, dim^2 floats (8.4 MB
-  at dim 1025), for the next call with bit-identical bands, so the lattice a
+  modes only.  decompose(h) makes the eigendecomposition a Decomposition
+  value, dim^2 floats (8.4 MB at dim 1025), and propagate takes it, so the
+  caller decides how long it lives and who shares it: the lattice a
   truncation search accepts is diagonalized once for the trial and the run
   together, and a phase sweep once for all its points.
 * the oracle, reached only through dense_oracle_compare: a Chebyshev series
@@ -50,6 +51,8 @@ from .ladder import LadderHamiltonian, LadderState
 
 GAUGE_RESIDUE = 1e-12
 PRUNE_BOUND = 1e-14
+# "Populated" means a population at or above this share of the unit total.
+POPULATION_THRESHOLD = 1e-3
 
 
 @dataclass(frozen=True)
@@ -122,31 +125,6 @@ def _real_form(h: LadderHamiltonian) -> tuple[float, np.ndarray]:
     return theta, m
 
 
-# The last dense eigendecomposition, keyed by the band bytes it solved.
-_slot: dict = {}
-
-
-def _eigensystem(h: LadderHamiltonian) -> tuple[float, np.ndarray, np.ndarray]:
-    """(theta, energies, modes) of h's real form, solved once per distinct
-    matrix.
-
-    One slot holds the last solve, keyed by the exact bytes of the three
-    bands: equal bytes are the same matrix, so a hit returns the bits a
-    fresh solve would.  The slot is emptied before a new solve, so two
-    decompositions are never alive at once.  The arrays are read-only.
-    """
-    key = (h.diagonal.tobytes(), h.hop_1.tobytes(), h.hop_2.tobytes())
-    solved = _slot.get(key)
-    if solved is None:
-        _slot.clear()
-        theta, m = _real_form(h)
-        energies, modes = np.linalg.eigh(m)
-        energies.setflags(write=False)
-        modes.setflags(write=False)
-        solved = _slot[key] = (theta, energies, modes)
-    return solved
-
-
 def _kept_modes(weights: np.ndarray) -> np.ndarray:
     """Mask of the modes a reconstruction needs: every mode except the
     smallest-|w| ones whose |w| sum to at most PRUNE_BOUND."""
@@ -157,22 +135,50 @@ def _kept_modes(weights: np.ndarray) -> np.ndarray:
     return kept
 
 
-def _dense_populations(h: LadderHamiltonian, a0: np.ndarray,
-                       times: np.ndarray) -> np.ndarray:
-    """T x dim populations of a0 evolved under h, from the kept modes."""
-    theta, energies, modes = _eigensystem(h)
-    d = np.exp(1j * theta * np.arange(h.dim))
-    weights = modes.conj().T @ (d.conj() * a0)
-    kept = _kept_modes(weights)
-    modes = modes[:, kept]
-    c = np.exp(-1j * np.outer(energies[kept], times - times[0]) / HBAR)
-    c *= weights[kept, None]
-    if np.iscomplexobj(modes):
-        amplitudes = modes @ c
-        re, im = amplitudes.real, amplitudes.imag
-    else:
-        re, im = modes @ c.real, modes @ c.imag
-    return (re * re + im * im).T
+@dataclass(frozen=True)
+class Decomposition:
+    """The eigendecomposition of h's real form: conj(d) H d = V diag(E) V^T
+    with d_n = exp(i n theta) (V unitary on the complex fallback).  The
+    arrays are read-only."""
+
+    h: LadderHamiltonian
+    theta: float
+    energies: np.ndarray
+    modes: np.ndarray
+
+    def __post_init__(self) -> None:
+        for a in (self.energies, self.modes):
+            a.setflags(write=False)
+
+    @property
+    def dim(self) -> int:
+        return self.h.dim
+
+    @property
+    def n_max(self) -> int:
+        return self.h.n_max
+
+    def populations(self, a0: np.ndarray, times: np.ndarray) -> np.ndarray:
+        """T x dim populations of a0 evolved under h, from the kept modes."""
+        d = np.exp(1j * self.theta * np.arange(self.dim))
+        weights = self.modes.conj().T @ (d.conj() * a0)
+        kept = _kept_modes(weights)
+        modes = self.modes[:, kept]
+        c = np.exp(-1j * np.outer(self.energies[kept], times - times[0]) / HBAR)
+        c *= weights[kept, None]
+        if np.iscomplexobj(modes):
+            amplitudes = modes @ c
+            re, im = amplitudes.real, amplitudes.imag
+        else:
+            re, im = modes @ c.real, modes @ c.imag
+        return (re * re + im * im).T
+
+
+def decompose(h: LadderHamiltonian) -> Decomposition:
+    """Diagonalize h's real form: one numpy.linalg.eigh call."""
+    theta, m = _real_form(h)
+    energies, modes = np.linalg.eigh(m)
+    return Decomposition(h, theta, energies, modes)
 
 
 def _bessel_terms(x: float, cut: float) -> np.ndarray:
@@ -222,24 +228,24 @@ def _evolve_banded(
 
 
 def propagate(
-    h: LadderHamiltonian,
+    dec: Decomposition,
     s0: LadderState,
     cfg: PropagationConfig,
     metadata: dict | None = None,
 ) -> Spectrogram:
-    """Evolve s0 under h and sample populations on a uniform grid.
+    """Evolve s0 under dec's Hamiltonian and sample populations on a grid.
 
     The grid starts at the state's own time, steps by sample_interval, and
     always includes the final time.  Raises IntegrationError when the norm
     drifts beyond cfg.norm_drift_limit.
     """
-    if s0.amplitudes.shape[0] != h.dim:
+    if s0.amplitudes.shape[0] != dec.dim:
         raise ValidationError(
             f"state dimension {s0.amplitudes.shape[0]} does not match "
-            f"Hamiltonian dimension {h.dim}"
+            f"Hamiltonian dimension {dec.dim}"
         )
     times = _sample_times(s0.time, cfg)
-    populations = _dense_populations(h, s0.amplitudes, times)
+    populations = dec.populations(s0.amplitudes, times)
     drift = np.abs(populations.sum(axis=1) - 1.0)
     worst = float(drift.max())
     if worst > cfg.norm_drift_limit:
@@ -248,7 +254,7 @@ def propagate(
         )
 
     meta = {
-        "n_max": h.n_max,
+        "n_max": dec.n_max,
         "t_end": cfg.t_end,
         "sample_interval": cfg.sample_interval,
         "norm_drift_limit": cfg.norm_drift_limit,
@@ -261,20 +267,20 @@ def propagate(
         times=times,
         populations=populations,
         norm_drift_series=drift,
-        n_max=h.n_max,
+        n_max=dec.n_max,
         metadata=meta,
     )
 
 
-def dense_oracle_compare(h: LadderHamiltonian, s0: LadderState, t: float) -> float:
-    """Max-abs population discrepancy between the Chebyshev-series oracle
-    and the dense eigendecomposition at time t."""
+def dense_oracle_compare(dec: Decomposition, s0: LadderState, t: float) -> float:
+    """Max-abs population discrepancy at time t between the
+    Chebyshev-series oracle on dec.h and the eigendecomposition dec."""
     if t <= 0:
         raise ValidationError("comparison time must be positive")
     times = np.array([s0.time, s0.time + t])
-    banded, _ = _evolve_banded(h, s0.amplitudes, times)
+    banded, _ = _evolve_banded(dec.h, s0.amplitudes, times)
     p_banded = np.abs(banded[-1]) ** 2
-    p_dense = _dense_populations(h, s0.amplitudes, times)[-1]
+    p_dense = dec.populations(s0.amplitudes, times)[-1]
     return float(np.abs(p_banded - p_dense).max())
 
 
@@ -293,7 +299,8 @@ class MomentSeries:
             a.setflags(write=False)
 
 
-def centroid_and_spread(spec: Spectrogram, threshold: float = 1e-3) -> MomentSeries:
+def centroid_and_spread(spec: Spectrogram,
+                        threshold: float = POPULATION_THRESHOLD) -> MomentSeries:
     """Per-sample centroid <n>, variance <n^2>-<n>^2, and the extreme
     sideband indices whose population reaches `threshold` (falling back to
     the argmax when nothing does)."""

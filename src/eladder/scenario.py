@@ -28,7 +28,8 @@ from .physics import (
     make_field,
     phase_matched_wavevector,
 )
-from .propagate import PropagationConfig, Spectrogram, propagate
+from .propagate import (Decomposition, PropagationConfig, Spectrogram,
+                        decompose, propagate)
 
 TWO_PI = 2.0 * math.pi
 
@@ -155,25 +156,30 @@ def _initial_guess_n(sc: Scenario) -> int:
     return max(8, int(math.ceil(abs(sc.initial.center) + 16.0 * sigma)))
 
 
-def run_scenario(sc: Scenario) -> Spectrogram:
-    """Build the Hamiltonian and initial state, pick the lattice size, and
-    propagate.  The spectrogram metadata records the resolved physics so
-    analysis code can consume it without re-deriving."""
+def decompose_scenario(sc: Scenario) -> Decomposition:
+    """The decomposition a run of sc propagates with: of the Hamiltonian on
+    sc.n_max, or the one the truncation search accepts when n_max is None."""
+    e = sc.electron()
+    f = sc.field()
+    if sc.n_max is not None:
+        return decompose(build_hamiltonian(e, f, sc.variant, sc.n_max))
+    probe = sc.initial.build(_initial_guess_n(sc), sc.photon_energy)
+    return adaptive_truncation(
+        e, f, sc.variant, probe, sc.propagation.t_end,
+        hard_cap=sc.truncation_cap,
+    )
+
+
+def run_scenario(sc: Scenario, dec: Decomposition | None = None) -> Spectrogram:
+    """Propagate sc's initial state on dec, by default decompose_scenario(sc).
+    The spectrogram metadata records the resolved physics so analysis code
+    can consume it without re-deriving."""
     e = sc.electron()
     f = sc.field()
     cs = coupling_set(e, f)
-
-    if sc.n_max is not None:
-        n_max = sc.n_max
-    else:
-        probe = sc.initial.build(_initial_guess_n(sc), sc.photon_energy)
-        n_max = adaptive_truncation(
-            e, f, sc.variant, probe, sc.propagation.t_end,
-            hard_cap=sc.truncation_cap,
-        )
-
-    h = build_hamiltonian(e, f, sc.variant, n_max, couplings=cs)
-    s0 = sc.initial.build(n_max, sc.photon_energy)
+    if dec is None:
+        dec = decompose_scenario(sc)
+    s0 = sc.initial.build(dec.n_max, sc.photon_energy)
     metadata = {
         "kinetic_energy": sc.kinetic_energy,
         "amplitude": sc.amplitude,
@@ -191,7 +197,7 @@ def run_scenario(sc: Scenario) -> Spectrogram:
         "initial_kind": sc.initial.kind,
         "initial_center": sc.initial.center,
     }
-    return propagate(h, s0, sc.propagation, metadata=metadata)
+    return propagate(dec, s0, sc.propagation, metadata=metadata)
 
 
 def trap_cycle_estimate(beta: float, kappa_mag: float) -> float:

@@ -6,7 +6,6 @@ runtime budget can be checked without re-running anything.
 """
 from __future__ import annotations
 
-import importlib
 import time
 from typing import NamedTuple
 
@@ -22,9 +21,6 @@ from eladder import (
 )
 from eladder.propagate import PropagationConfig
 from eladder.scenario import InitialSpec, Matching, Scenario, run_scenario
-
-# The package re-exports the function propagate under the module's name.
-propagate_module = importlib.import_module("eladder.propagate")
 
 TRAP_ENERGY = 100.0
 TRAP_FIELD = 1.0
@@ -151,9 +147,8 @@ def mismatched_control_run() -> TimedRun:
 
 @pytest.fixture
 def eigh_calls(monkeypatch):
-    """Start from an empty eigendecomposition slot and record the
-    dimension of every numpy.linalg.eigh call."""
-    monkeypatch.setattr(propagate_module, "_slot", {})
+    """Record the dimension of every numpy.linalg.eigh call: one per
+    decompose."""
     calls = []
     eigh = np.linalg.eigh
 

@@ -35,7 +35,12 @@ from eladder.physics import (
     ponderomotive_ratio,
     recoil_ratio,
 )
-from eladder.propagate import PropagationConfig, dense_oracle_compare, propagate
+from eladder.propagate import (
+    PropagationConfig,
+    decompose,
+    dense_oracle_compare,
+    propagate,
+)
 from eladder.scenario import InitialSpec
 
 import conftest
@@ -90,7 +95,7 @@ def test_02_sideband_comb_limit(trap_electron, trap_field, trap_couplings):
     n = np.arange(-48, 49)
     flat = ModelVariant.simplified(quadratic_scale=0.0)
     h = build_hamiltonian(trap_electron, trap_field, flat, 48)
-    spec = propagate(h, initial_plane_wave(48), PropagationConfig(
+    spec = propagate(decompose(h), initial_plane_wave(48), PropagationConfig(
         t_end=t20, sample_interval=t20 / 40.0))
     worst_flat = max(
         float(np.abs(row - jv(n, 2.0 * kappa * t / HBAR) ** 2).max())
@@ -99,8 +104,8 @@ def test_02_sideband_comb_limit(trap_electron, trap_field, trap_couplings):
     # With the quadratic term back in, the comb survives only at early times.
     curved = build_hamiltonian(trap_electron, trap_field,
                                ModelVariant.simplified(), 48)
-    early = propagate(curved, initial_plane_wave(48), PropagationConfig(
-        t_end=2.0, sample_interval=0.05))
+    early = propagate(decompose(curved), initial_plane_wave(48),
+                      PropagationConfig(t_end=2.0, sample_interval=0.05))
     worst_early = max(
         float(np.abs(row - jv(n, 2.0 * kappa * t / HBAR) ** 2).max())
         for t, row in zip(early.times, early.populations))
@@ -300,7 +305,8 @@ def test_11_integrator_cross_validation():
         amp /= np.linalg.norm(amp)
         t = float(rng.uniform(1.0, 20.0))
         h = LadderHamiltonian(n_max, diag, hop1, hop2, ModelVariant.full())
-        err = dense_oracle_compare(h, LadderState(amp, 0.0, n_max), t)
+        err = dense_oracle_compare(decompose(h), LadderState(amp, 0.0, n_max),
+                                   t)
         worst = max(worst, err)
     ok = worst < SUITE_TOL
     _verdict(11, "integrator-cross-validation", ok,

@@ -23,7 +23,6 @@ from eladder.errors import (
     ValidationError,
 )
 
-from conftest import propagate_module
 
 CHEAP = """
 electron.energy = 100 eV
@@ -281,24 +280,29 @@ class TestClassify:
         assert capsys.readouterr().out.startswith("Bragg (rho = ")
 
 
-def test_hash_does_not_depend_on_a_warm_eigensolve(tmp_path, capsys,
-                                                   eigh_calls):
-    """oracle-check leaves the README lattice's decomposition in the dense
-    route's slot; a simulate that reuses it writes the same record."""
-    path = tmp_path / "readme.cfg"
-    path.write_text(README)
-
-    def content_hash(out):
-        assert main(["simulate", str(path), "--out", str(tmp_path / out)]) == 0
-        return re.search(r"content hash (\w+)", capsys.readouterr().out)[1]
-
-    cold = content_hash("cold")
-    propagate_module._slot.clear()
-    assert main(["oracle-check", str(path)]) == 0
-    capsys.readouterr()
-    eigh_calls.clear()
-    assert content_hash("warm") == cold
-    assert eigh_calls == []
+@pytest.mark.parametrize("command, config, calls", [
+    ("simulate", README, [129]),
+    ("oracle-check", README, [97, 129]),
+    ("oracle-check", BRAGG, [97, 25]),
+], ids=["simulate", "oracle-check", "oracle-check-bragg"])
+def test_a_command_keeps_no_decomposition(tmp_path, capsys, eigh_calls,
+                                          command, config, calls):
+    """Run twice in one process, a command makes the same eigh calls and
+    prints the same lines, record hash included: no decomposition outlives
+    the command that made it, and within it each lattice is solved once
+    (on the Bragg config the stepper, two-level and norm lines share one)."""
+    path = tmp_path / "run.cfg"
+    path.write_text(config)
+    printed = []
+    for out in (tmp_path / "first", tmp_path / "second"):
+        eigh_calls.clear()
+        argv = [command, str(path)]
+        if command == "simulate":
+            argv += ["--out", str(out)]
+        assert main(argv) == 0
+        assert eigh_calls == calls
+        printed.append(capsys.readouterr().out.replace(str(out), "OUT"))
+    assert printed[0] == printed[1]
 
 
 class TestOracleCheck:

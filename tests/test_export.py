@@ -270,7 +270,7 @@ def test_malformed_record_raises_export_error(small_spec, tmp_path, case,
     edit(record)
     path = tmp_path / "bad.record.json"
     path.write_text(json.dumps(record))
-    with pytest.raises(ExportError, match=REASONS.get(case, "")) as caught:
+    with pytest.raises(ExportError, match=REASONS.get(case)) as caught:
         import_spectrogram(path)
     assert (caught.value.category, caught.value.exit_code) == ("io", 4)
 

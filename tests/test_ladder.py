@@ -207,19 +207,19 @@ class TestTruncation:
     def test_trap_drive_auto_size(self, trap_electron, trap_field):
         n = adaptive_truncation(trap_electron, trap_field,
                                 ModelVariant.full(), initial_plane_wave(1),
-                                60.0)
+                                60.0).n_max
         assert n == 64
 
     def test_tail_guard_holds_at_returned_size(self, trap_electron,
                                                trap_field):
-        from eladder.propagate import PropagationConfig, propagate
+        from eladder.propagate import PropagationConfig, decompose, propagate
 
         n = adaptive_truncation(trap_electron, trap_field,
                                 ModelVariant.full(), initial_plane_wave(1),
-                                20.0)
+                                20.0).n_max
         h = build_hamiltonian(trap_electron, trap_field,
                               ModelVariant.full(), n)
-        spec = propagate(h, initial_plane_wave(n),
+        spec = propagate(decompose(h), initial_plane_wave(n),
                          PropagationConfig(t_end=20.0, sample_interval=0.5))
         tail = spec.populations[:, np.abs(spec.sideband_indices) >= n - 2]
         assert float(tail.sum(axis=1).max()) < 1e-10
@@ -228,7 +228,7 @@ class TestTruncation:
         f = matched_field(trap_electron, 0.0, 1.54)
         state = initial_gaussian(32, width_sidebands=2.0)
         n = adaptive_truncation(trap_electron, f, ModelVariant.full(),
-                                state, 50.0)
+                                state, 50.0).n_max
         # diagonal dynamics: support of the start plus the safety margin
         assert n < 32
 
@@ -251,7 +251,7 @@ class TestTruncation:
         f = matched_field(trap_electron, amplitude, 1.54)
         probe = initial_gaussian(160, width_sidebands=10.0)
         n = adaptive_truncation(trap_electron, f, ModelVariant.full(),
-                                probe, 10.0)
+                                probe, 10.0).n_max
         assert n < probe.n_max
         initial_gaussian(n, width_sidebands=10.0)
         with pytest.raises(TruncationError):

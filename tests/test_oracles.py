@@ -22,7 +22,7 @@ from eladder.oracles import (
     pendellosung_population,
     two_level_reduction,
 )
-from eladder.propagate import PropagationConfig, propagate
+from eladder.propagate import PropagationConfig, decompose, propagate
 
 
 class TestBesselForm:
@@ -63,7 +63,7 @@ class TestBesselAgainstLattice:
         t = 20.0 * HBAR / (2.0 * cs.kappa_mag)
         variant = ModelVariant.simplified(detuning_override=0.0, quadratic_scale=0.0)
         h = build_hamiltonian(trap_electron, trap_field, variant, 48)
-        spec = propagate(h, initial_plane_wave(48),
+        spec = propagate(decompose(h), initial_plane_wave(48),
                          PropagationConfig(t_end=t, sample_interval=t))
         n = np.arange(-48, 49)
         reference = jv(n, 2.0 * cs.kappa_mag * t / HBAR) ** 2

@@ -1,6 +1,6 @@
 """Sampling grids, the eigensolve and its Chebyshev-series oracle, the
-real gauge of the eigensolve, its eigendecomposition slot, its mode
-pruning, and moment extraction."""
+real gauge of the eigensolve, the Decomposition value, its mode pruning,
+and moment extraction."""
 import math
 
 import numpy as np
@@ -26,19 +26,18 @@ from eladder.propagate import (
     PropagationConfig,
     Spectrogram,
     _bessel_terms,
-    _dense_populations,
-    _eigensystem,
     _evolve_banded,
     _kept_modes,
     _real_form,
     _sample_times,
     centroid_and_spread,
+    decompose,
     dense_oracle_compare,
     propagate,
 )
 from eladder.scenario import InitialSpec, Scenario, run_scenario
 
-from conftest import propagate_module, trap_scenario
+from conftest import trap_scenario
 
 
 @pytest.fixture(scope="module")
@@ -47,8 +46,18 @@ def small_h(trap_electron, trap_field):
 
 
 @pytest.fixture(scope="module")
+def small_dec(small_h):
+    return decompose(small_h)
+
+
+@pytest.fixture(scope="module")
 def small_state():
     return initial_plane_wave(8)
+
+
+def eigensolve(h, s0, cfg):
+    """propagate on a fresh decomposition of h."""
+    return propagate(decompose(h), s0, cfg)
 
 
 def chebyshev(h, s0, cfg):
@@ -70,30 +79,30 @@ def null_hamiltonian(n_max):
 
 
 class TestSampleGrid:
-    def test_divisible_span_has_no_extra_point(self, small_h, small_state):
+    def test_divisible_span_has_no_extra_point(self, small_dec, small_state):
         cfg = PropagationConfig(t_end=6.0, sample_interval=0.5)
-        spec = propagate(small_h, small_state, cfg)
+        spec = propagate(small_dec, small_state, cfg)
         assert len(spec.times) == 13
         assert spec.times[0] == 0.0
         assert spec.times[-1] == 6.0
         assert np.allclose(np.diff(spec.times), 0.5, atol=1e-12)
 
-    def test_remainder_appends_exact_final_time(self, small_h, small_state):
+    def test_remainder_appends_exact_final_time(self, small_dec, small_state):
         cfg = PropagationConfig(t_end=1.0, sample_interval=0.3)
-        spec = propagate(small_h, small_state, cfg)
+        spec = propagate(small_dec, small_state, cfg)
         assert np.allclose(spec.times[:4], [0.0, 0.3, 0.6, 0.9])
         assert spec.times[-1] == 1.0
 
-    def test_grid_starts_at_state_time(self, small_h, small_state):
+    def test_grid_starts_at_state_time(self, small_dec, small_state):
         shifted = LadderState(small_state.amplitudes.copy(), 2.5, 8)
         cfg = PropagationConfig(t_end=0.9, sample_interval=0.3)
-        spec = propagate(small_h, shifted, cfg)
+        spec = propagate(small_dec, shifted, cfg)
         assert spec.times[0] == 2.5
         assert np.isclose(spec.times[-1], 3.4)
 
-    def test_arrays_are_read_only(self, small_h, small_state):
+    def test_arrays_are_read_only(self, small_dec, small_state):
         cfg = PropagationConfig(t_end=1.0, sample_interval=0.5)
-        spec = propagate(small_h, small_state, cfg)
+        spec = propagate(small_dec, small_state, cfg)
         with pytest.raises(ValueError):
             spec.times[0] = -1.0
         with pytest.raises(ValueError):
@@ -101,19 +110,20 @@ class TestSampleGrid:
 
 
 class TestRoutes:
-    def test_dense_and_banded_agree_everywhere(self, small_h, small_state):
+    def test_dense_and_banded_agree_everywhere(self, small_h, small_dec,
+                                               small_state):
         cfg = PropagationConfig(t_end=6.0, sample_interval=0.5)
-        dense = propagate(small_h, small_state, cfg)
+        dense = propagate(small_dec, small_state, cfg)
         banded = chebyshev(small_h, small_state, cfg)
         assert np.abs(dense.populations - banded.populations).max() < 1e-9
 
-    def test_dense_oracle_compare(self, small_h, small_state):
-        assert dense_oracle_compare(small_h, small_state, 6.0) < 1e-9
+    def test_dense_oracle_compare(self, small_dec, small_state):
+        assert dense_oracle_compare(small_dec, small_state, 6.0) < 1e-9
 
     def test_propagate_is_the_eigensolve_at_every_size(self):
         h = null_hamiltonian(513)
         cfg = PropagationConfig(t_end=1.0, sample_interval=0.5)
-        spec = propagate(h, initial_plane_wave(513), cfg)
+        spec = propagate(decompose(h), initial_plane_wave(513), cfg)
         assert h.dim == 1027
         assert spec.metadata["method"] == "dense"
         assert spec.metadata["max_norm_drift"] < 1e-12
@@ -128,9 +138,9 @@ class TestRoutes:
         assert terms == len(times) - 1
         assert drift.max() == 0.0
 
-    def test_oracle_rejects_nonpositive_time(self, small_h, small_state):
+    def test_oracle_rejects_nonpositive_time(self, small_dec, small_state):
         with pytest.raises(ValidationError):
-            dense_oracle_compare(small_h, small_state, 0.0)
+            dense_oracle_compare(small_dec, small_state, 0.0)
 
 
 class TestBesselTerms:
@@ -149,9 +159,9 @@ class TestQualityRecord:
     BASE_KEYS = {"n_max", "t_end", "sample_interval", "norm_drift_limit",
                  "max_norm_drift", "method"}
 
-    def test_dense_metadata(self, small_h, small_state):
+    def test_dense_metadata(self, small_dec, small_state):
         cfg = PropagationConfig(t_end=1.0, sample_interval=0.5)
-        spec = propagate(small_h, small_state, cfg)
+        spec = propagate(small_dec, small_state, cfg)
         assert set(spec.metadata) == self.BASE_KEYS
         assert spec.metadata["method"] == "dense"
         assert spec.metadata["n_max"] == 8
@@ -173,9 +183,9 @@ class TestQualityRecord:
         assert np.abs(np.abs(loose) ** 2 - dense.populations).max() < tol
         assert np.abs(np.abs(tight) ** 2 - dense.populations).max() < 1e-9
 
-    def test_caller_metadata_is_merged(self, small_h, small_state):
+    def test_caller_metadata_is_merged(self, small_dec, small_state):
         cfg = PropagationConfig(t_end=1.0, sample_interval=0.5)
-        spec = propagate(small_h, small_state, cfg, metadata={"tag": "x"})
+        spec = propagate(small_dec, small_state, cfg, metadata={"tag": "x"})
         assert spec.metadata["tag"] == "x"
         assert self.BASE_KEYS <= set(spec.metadata)
 
@@ -190,12 +200,12 @@ class TestGuards:
         with pytest.raises(ValidationError):
             PropagationConfig(**kw)
 
-    def test_state_dimension_must_match(self, small_h):
+    def test_state_dimension_must_match(self, small_dec):
         with pytest.raises(ValidationError):
-            propagate(small_h, initial_plane_wave(7),
+            propagate(small_dec, initial_plane_wave(7),
                       PropagationConfig(t_end=1.0, sample_interval=0.5))
 
-    def test_norm_drift_is_asserted_not_repaired(self, small_h, small_state):
+    def test_norm_drift_is_asserted_not_repaired(self, small_dec, small_state):
         # A state norm just inside the construction tolerance still trips a
         # tighter drift limit; nothing renormalizes it away.
         off = small_state.amplitudes * (1.0 + 5e-9)
@@ -203,7 +213,7 @@ class TestGuards:
         cfg = PropagationConfig(t_end=1.0, sample_interval=0.5,
                                 norm_drift_limit=1e-12)
         with pytest.raises(IntegrationError, match="norm drift"):
-            propagate(small_h, state, cfg)
+            propagate(small_dec, state, cfg)
 
 
 def complex_reference(h, a0, times):
@@ -214,7 +224,7 @@ def complex_reference(h, a0, times):
     return (modes @ (phases * weights[:, None])).T
 
 
-def trap_packet(phase, offset, kind, n_max=32, t_end=8.0, evolve=propagate):
+def trap_packet(phase, offset, kind, n_max=32, t_end=8.0, evolve=eigensolve):
     e = electron_from_energy(100.0)
     f = matched_field(e, 1.0, 1.54, initial_phase=phase)
     variant = ModelVariant.full() if kind == "full" else ModelVariant.simplified()
@@ -251,7 +261,7 @@ class TestRealGauge:
         a0 /= np.linalg.norm(a0)
         times = np.linspace(0.0, 5.0, 6)
         ref = np.abs(complex_reference(h, a0, times)) ** 2
-        assert np.abs(_dense_populations(h, a0, times) - ref).max() < 1e-12
+        assert np.abs(decompose(h).populations(a0, times) - ref).max() < 1e-12
 
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=6, deadline=None)
@@ -270,13 +280,13 @@ class TestRealGauge:
         state = LadderState(amp / np.linalg.norm(amp), 0.0, n_max)
         cfg = PropagationConfig(t_end=float(rng.uniform(0.3, 1.0)),
                                 sample_interval=0.25)
-        dense = propagate(h, state, cfg)
+        dense = eigensolve(h, state, cfg)
         banded = chebyshev(h, state, cfg)
         assert np.abs(dense.populations - banded.populations).max() < 1e-9
 
 
-class TestEigensystemSlot:
-    """The dense route solves each distinct Hamiltonian once."""
+class TestDecomposition:
+    """Callers hold the eigendecomposition, so each ladder is solved once."""
 
     def test_accepted_truncation_lattice_is_solved_once(self, eigh_calls):
         readme = trap_scenario(InitialSpec(), None, 60.0, 0.05)
@@ -290,47 +300,36 @@ class TestEigensystemSlot:
         run_scenario(wide)
         assert eigh_calls == [129, 257, 513, 1025]
 
-    def test_one_ulp_in_one_band_entry_solves_afresh(self, small_h,
-                                                     eigh_calls):
-        first = _eigensystem(small_h)
-        assert _eigensystem(small_h) is first and len(eigh_calls) == 1
-        diagonal = small_h.diagonal.copy()
-        diagonal[3] = np.nextafter(diagonal[3], np.inf)
-        nudged = LadderHamiltonian(small_h.n_max, diagonal, small_h.hop_1,
-                                   small_h.hop_2, small_h.variant)
-        assert _eigensystem(nudged) is not first and len(eigh_calls) == 2
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.booleans())
+    @settings(max_examples=10, deadline=None)
+    def test_a_reused_decomposition_matches_a_fresh_one(self, seed, gauged):
+        rng = np.random.default_rng(seed)
+        h = trap_like_bands(rng, gauged)
+        held = decompose(h)
+        times = np.linspace(0.0, float(rng.uniform(0.1, 20.0)), 9)
+        for kind in ("plane", "packet", "complex", "plane", "packet"):
+            a0 = random_start(rng, kind, h.n_max).amplitudes
+            assert np.array_equal(held.populations(a0, times),
+                                  decompose(h).populations(a0, times))
 
-    def test_cached_arrays_are_read_only(self, small_h, eigh_calls):
-        _, energies, modes = _eigensystem(small_h)
-        for a in (energies, modes):
+    def test_arrays_are_read_only(self, small_dec):
+        for a in (small_dec.energies, small_dec.modes):
             with pytest.raises(ValueError):
                 a[0] = 0.0
 
-    def test_warm_and_cold_populations_are_bit_identical(self, small_h,
-                                                         small_state,
-                                                         eigh_calls):
-        times = np.linspace(0.0, 6.0, 13)
-        cold = _dense_populations(small_h, small_state.amplitudes, times)
-        warm = _dense_populations(small_h, small_state.amplitudes, times)
-        propagate_module._slot.clear()
-        again = _dense_populations(small_h, small_state.amplitudes, times)
-        assert len(eigh_calls) == 2
-        assert np.array_equal(cold, warm) and np.array_equal(cold, again)
 
-
-def full_mode_reference(h, a0, times):
+def full_mode_reference(dec, a0, times):
     """Populations rebuilt from every mode of the route's own
     eigendecomposition."""
-    theta, energies, modes = _eigensystem(h)
-    d = np.exp(1j * theta * np.arange(h.dim))
-    weights = modes.conj().T @ (d.conj() * a0)
-    phases = np.exp(-1j * np.outer(energies, times - times[0]) / HBAR)
-    return np.abs(modes @ (phases * weights[:, None])).T ** 2
+    d = np.exp(1j * dec.theta * np.arange(dec.dim))
+    weights = dec.modes.conj().T @ (d.conj() * a0)
+    phases = np.exp(-1j * np.outer(dec.energies, times - times[0]) / HBAR)
+    return np.abs(dec.modes @ (phases * weights[:, None])).T ** 2
 
 
-def start_weights(h, a0):
-    theta, _, modes = _eigensystem(h)
-    return modes.conj().T @ (np.exp(-1j * theta * np.arange(h.dim)) * a0)
+def start_weights(dec, a0):
+    d = np.exp(1j * dec.theta * np.arange(dec.dim))
+    return dec.modes.conj().T @ (d.conj() * a0)
 
 
 def trap_like_bands(rng, gauged):
@@ -391,31 +390,31 @@ class TestModePruning:
         state = random_start(rng, kind, h.n_max)
         t_end = float(rng.uniform(0.1, 20.0))
         cfg = PropagationConfig(t_end=t_end, sample_interval=t_end / 8)
-        spec = propagate(h, state, cfg)
-        ref = full_mode_reference(h, state.amplitudes, spec.times)
+        dec = decompose(h)
+        spec = propagate(dec, state, cfg)
+        ref = full_mode_reference(dec, state.amplitudes, spec.times)
         assert np.abs(spec.populations - ref).max() <= self.POPULATION_BOUND
         assert spec.norm_drift_series.max() <= cfg.norm_drift_limit
 
     def test_nothing_is_pruned_when_every_mode_carries_weight(self):
         rng = np.random.default_rng(3)
-        h = trap_like_bands(rng, gauged=False)
-        _, _, modes = _eigensystem(h)
-        a0 = modes @ np.exp(1j * rng.uniform(-math.pi, math.pi, h.dim))
+        dec = decompose(trap_like_bands(rng, gauged=False))
+        a0 = dec.modes @ np.exp(1j * rng.uniform(-math.pi, math.pi, dec.dim))
         a0 /= np.linalg.norm(a0)
-        assert _kept_modes(start_weights(h, a0)).all()
+        assert _kept_modes(start_weights(dec, a0)).all()
         times = np.linspace(0.0, 4.0, 9)
-        ref = full_mode_reference(h, a0, times)
-        assert np.abs(_dense_populations(h, a0, times) - ref).max() <= \
+        ref = full_mode_reference(dec, a0, times)
+        assert np.abs(dec.populations(a0, times) - ref).max() <= \
             self.POPULATION_BOUND
 
     def test_readme_ladder_keeps_64_of_129_modes(self, trap_electron,
                                                  trap_field):
         h = build_hamiltonian(trap_electron, trap_field, ModelVariant.full(), 64)
         a0 = initial_plane_wave(64).amplitudes
-        assert _kept_modes(start_weights(h, a0)).sum() == 64
+        assert _kept_modes(start_weights(decompose(h), a0)).sum() == 64
 
 
-ROUTES = [pytest.param(propagate, id="dense"),
+ROUTES = [pytest.param(eigensolve, id="dense"),
           pytest.param(chebyshev, id="banded")]
 
 
