@@ -23,11 +23,11 @@ from .errors import (
     SweepError,
     ValidationError,
 )
+from .oracles import separatrix_edge, trap_cycle_estimate
 from .physics import CouplingSet, coupling_set, electron_from_energy
 from .propagate import (POPULATION_THRESHOLD, Decomposition, Spectrogram,
                         centroid_and_spread)
-from .scenario import (Scenario, decompose_scenario, run_scenario,
-                       trap_cycle_estimate)
+from .scenario import Scenario, decompose_scenario, run_scenario
 
 PRESENCE_FLOOR = 1e-9
 
@@ -404,7 +404,7 @@ def _auto_sized(sc: Scenario, cycles: float = 2.0) -> Scenario:
     cs = coupling_set(e, sc.field())
     span = cycles * trap_cycle_estimate(cs.beta, cs.kappa_mag)
     cfg = replace(sc.propagation, t_end=span, sample_interval=span / 400.0)
-    edge = math.sqrt(4.0 * cs.kappa_mag / cs.beta)
+    edge = separatrix_edge(cs.beta, cs.kappa_mag)
     margin = abs(sc.initial.center) + 8
     if sc.initial.kind == "gaussian":
         margin += int(math.ceil(8.0 * sc.initial.sigma(sc.photon_energy)))

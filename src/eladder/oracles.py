@@ -9,6 +9,10 @@ other.  Two solvable limits exist:
 * With a dominant quadratic term, the pair n = +1 / n = -1 forms an
   effective two-level system bridged by n = 0 in second order, oscillating
   with the standard Rabi formula.
+
+In between, the trap is a quantum pendulum, beta n^2 + 2 |kappa| cos(theta)
+in the gauge: a plane start at n = 0 stays inside the separatrix edge, and
+the trap cycle estimate is the pendulum's small-swing period.
 """
 from __future__ import annotations
 
@@ -129,3 +133,21 @@ def two_level_reduction(
         raise ValidationError("bridge site is degenerate with the pair")
     coupling = abs(hop(ia, im) * hop(im, ib)) / energy_split
     return TwoLevelSolution(abs(coupling), gap, (a, b))
+
+
+def separatrix_edge(beta: float, kappa_mag: float) -> float:
+    """Largest |n| a plane start at n = 0 reaches, sqrt(4 |kappa| / beta).
+
+    The separatrix of beta n^2 + 2 |kappa| cos(theta) through the start."""
+    if beta <= 0 or kappa_mag < 0:
+        raise ValidationError("separatrix needs positive beta and kappa >= 0")
+    return math.sqrt(4.0 * kappa_mag / beta)
+
+
+def trap_cycle_estimate(beta: float, kappa_mag: float) -> float:
+    """Characteristic confinement oscillation time pi hbar / sqrt(beta kappa).
+
+    Used to auto-size sweep time spans; both couplings must be positive."""
+    if beta <= 0 or kappa_mag <= 0:
+        raise ValidationError("cycle estimate needs positive beta and kappa")
+    return math.pi * HBAR / math.sqrt(beta * kappa_mag)

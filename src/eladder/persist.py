@@ -5,9 +5,16 @@ Two spectrogram formats:
 * delimited-text: a comma-separated table, header ``t_fs, n=-N, ..., n=+N``
   (2N+2 columns), one row per sample time, every value printed with nine
   significant digits.  Easy to plot, lossy in the last digit.  `_cell` is
-  the reference for how a value is printed; the export formats rows in
+  the reference for how a value is printed.  The export formats rows in
   chunks with numpy, byte for byte as `_cell` would, and streams each chunk
-  to the file, so no whole-table string is ever built.
+  to the file, so no whole-table string is ever built.  Each cell is put
+  together from lookup tables built at import: a [-]d. word (sign and lead
+  digit), two 4-digit words (the mantissa split at 10**8 and 10**4) and an
+  8-byte exponent-and-separator word; NUL bytes pad the short fields and
+  are dropped when the chunk is joined.  A finite value whose rounding the
+  numpy path cannot be sure of is formatted by Python on its own, and only
+  a row holding NaN or an infinity is printed cell by cell.  `render_table`
+  formats each all-float column of a figure table the same way.
 * structured-record: a JSON document carrying the full-precision arrays,
   the run metadata, the tool version, and a sha256 content hash.  Importing
   it reproduces the populations exactly, and reruns of the same
@@ -90,16 +97,27 @@ def _line(row) -> str:
 
 
 def render_table(headers, rows) -> str:
-    """Comma-separated table with 9-significant-digit floats."""
+    """Comma-separated table with 9-significant-digit floats.
+
+    Each cell prints as `_cell` prints it.  A column of Python floats is
+    formatted in one `_format_rows` call; any other column cell by cell."""
     width = len(headers)
-    lines = [", ".join(headers)]
+    rows = list(rows)
     for row in rows:
         if len(row) != width:
             raise ExportError(
                 f"table row has {len(row)} cells, header has {width}"
             )
-        lines.append(_line(row))
-    return "\n".join(lines) + "\n"
+    columns = []
+    for column in zip(*rows):
+        if all(isinstance(v, float) for v in column):
+            column = _format_rows(np.array(column).reshape(-1, 1)).splitlines()
+        else:
+            column = [_cell(v) for v in column]
+        columns.append(column)
+    # a table without columns still has its empty rows
+    lines = [", ".join(cells) for cells in zip(*columns)] or [""] * len(rows)
+    return "\n".join([", ".join(headers)] + lines) + "\n"
 
 
 def write_table(path, headers, rows) -> None:
@@ -111,69 +129,101 @@ def write_table(path, headers, rows) -> None:
 # values to be negligible.
 _CHUNK_CELLS = 1 << 14
 
-# Bytes per cell in the formatting buffer: sign, digit, ".", 8 digits, "e",
-# exponent sign, 3 exponent digits and a 2-byte separator.  A zero byte is
-# padding (no minus sign, a 2-digit exponent, the line end) and is dropped.
-_SLOT = 18
+# A formatted cell is five 4-byte words, NUL bytes being padding:
+#   [-]d.  |  digits 1-4  |  digits 5-8  |  exponent and separator
+# the last over two words ("e+05, ", "e-100, ", or "e+05\n" in a row's last
+# cell).  The word tables are built once, at import, as little-endian
+# words, so that a cell's bytes lie in memory in reading order.  None takes
+# more than a few hundred Python steps or any numpy arithmetic, so building
+# them adds neither import time nor resident code pages.
+_EXP_MIN, _EXP_MAX = -324, 308  # decimal exponents of the finite doubles
+_EXPS = _EXP_MAX - _EXP_MIN + 1
 
 
-def _ascii(buf: np.ndarray) -> str:
-    return buf[buf != 0].tobytes().decode("ascii")
+def _exponent_words(separator: bytes) -> np.ndarray:
+    """One 8-byte word per exponent: "e", the exponent as "%.8e" prints it,
+    then `separator`."""
+    return np.frombuffer(b"".join(
+        (b"e%+03d" % exp + separator).ljust(8, b"\0")
+        for exp in range(_EXP_MIN, _EXP_MAX + 1)), "<u8")
+
+
+_d = np.frombuffer(b"0123456789", np.uint8)
+_DIGITS = np.stack(np.meshgrid(_d, _d, _d, _d, indexing="ij"),
+                   axis=-1).view("<u4").ravel()  # "0000" to "9999"
+del _d
+# "[-]d." at 10 * sign + d
+_LEAD = np.frombuffer(b"".join(b"%c%d.\0" % (sign, d) for sign in b"\0-"
+                               for d in range(10)), "<u4")
+# index exponent - _EXP_MIN, plus _EXPS in a row's last cell
+_EXPONENT = np.concatenate([_exponent_words(b", "), _exponent_words(b"\n")])
+# 10**(8 - exponent), correctly rounded; inf from 10**309 on is never sure
+_SCALE = np.array([float(f"1e{8 - exp}")
+                   for exp in range(_EXP_MIN, _EXP_MAX + 1)])
 
 
 def _format_rows(block: np.ndarray) -> str:
     """Rows of float64 `block` as text lines, each equal to `_line(row)`.
 
     Each value is printed from its decimal exponent and a 9-digit integer
-    mantissa, got by one scaling and rounded with numpy.  That equals
-    Python's correctly rounded "%.8e" whenever the scaled value lies well
-    clear of a rounding tie.  A row holding any value this cannot place
-    with certainty -- within 1e-5 of a tie, nonzero |v| outside
-    [1e-300, 1e300), NaN or infinite -- is printed by `_cell` instead.
+    mantissa, got by one scaling (the power of ten read from `_SCALE`) and
+    rounded with numpy.  That equals Python's correctly rounded "%.8e"
+    whenever the scaled value lies well clear of a rounding tie.  A finite
+    value this cannot place with certainty -- within 1e-5 of a tie, or
+    nonzero |v| outside [1e-300, 1e300) -- takes its mantissa and exponent
+    from Python's own "%.8e" instead.  The mantissa splits at 10**8 (the
+    lead digit) and 10**4 into table indices, and the cells' words are
+    joined with the NUL padding dropped.  A row holding NaN or an infinity
+    is printed by `_line`.
     """
     rows, cols = block.shape
     mag = np.abs(block)
     normal = (mag >= 1e-300) & (mag < 1e300)
     safe = np.where(normal, mag, 1.0)
-    exp = np.floor(np.log10(safe))
-    scaled = safe * 10.0 ** (8.0 - exp)
+    # exp holds each exponent as a table index, exponent - _EXP_MIN
+    exp = np.floor(np.log10(safe)).astype(np.intp) - _EXP_MIN
+    scaled = safe * _SCALE[exp]
     # log10 may land one decade off next to a power of ten
-    exp += (scaled >= 1e9).astype(float) - (scaled < 1e8)
-    with np.errstate(over="ignore", invalid="ignore"):
-        scaled = safe * 10.0 ** (8.0 - exp)
-        tie_gap = np.abs(scaled - np.floor(scaled) - 0.5)
-    sure = (normal & (scaled >= 1e8) & (scaled < 1e9) & (tie_gap > 1e-5))
-    mant = np.where(sure, np.rint(scaled), 0.0)
-    carry = mant == 1e9  # 9.999999995... prints as 1.00000000e(exp + 1)
-    mant = np.where(carry, 1e8, mant).astype(np.int64)
-    exp = np.where(sure, exp + carry, 0.0).astype(np.int64)
+    fix = (scaled >= 1e9).view(np.int8) - (scaled < 1e8).view(np.int8)
+    if fix.any():
+        exp += fix
+        scaled = safe * _SCALE[exp]
+    rounded = np.rint(scaled)
+    tie_gap = 0.5 - np.abs(scaled - rounded)
+    sure = normal & (scaled >= 1e8) & (scaled < 1e9) & (tie_gap > 1e-5)
+    mant = np.where(sure, rounded, 0.0).astype(np.int32)
+    carry = mant == 1000000000  # 9.999999995... prints as 1.00000000e(exp+1)
+    mant[carry] = 100000000
+    exp += carry
     sure |= mag == 0.0  # a zero mantissa and exponent print +-0.00000000e+00
 
-    buf = np.empty((rows, cols, _SLOT), np.uint8)
-    buf[..., 0] = np.where(np.signbit(block), ord("-"), 0)
-    buf[..., 2] = ord(".")
-    for pos in (10, 9, 8, 7, 6, 5, 4, 3, 1):  # last digit first
-        mant, digit = np.divmod(mant, 10)
-        buf[..., pos] = digit + ord("0")
-    buf[..., 11] = ord("e")
-    buf[..., 12] = np.where(exp < 0, ord("-"), ord("+"))
-    exp = np.abs(exp)
-    buf[..., 13] = np.where(exp >= 100, exp // 100 + ord("0"), 0)
-    buf[..., 14] = exp // 10 % 10 + ord("0")
-    buf[..., 15] = exp % 10 + ord("0")
-    buf[..., 16] = ord(",")
-    buf[..., 17] = ord(" ")
-    buf[:, -1, 16] = ord("\n")
-    buf[:, -1, 17] = 0
+    finite = np.isfinite(block)
+    redo = np.nonzero(~sure & finite)
+    if redo[0].size:
+        texts = [f"{v:.8e}" for v in mag[redo].tolist()]
+        mant[redo] = [int(t[0] + t[2:10]) for t in texts]
+        exp[redo] = [int(t[11:]) - _EXP_MIN for t in texts]
+    exp[:, -1] += _EXPS
 
-    lines = buf.reshape(rows, cols * _SLOT)
+    lead = mant // 100000000
+    mant -= lead * 100000000
+    high = mant // 10000
+    mant -= high * 10000
+    lead += 10 * np.signbit(block)
+    buf = np.empty((rows, cols, 5), "<u4")
+    buf[..., 0] = _LEAD.take(lead)
+    buf[..., 1] = _DIGITS.take(high)
+    buf[..., 2] = _DIGITS.take(mant)
+    buf[..., 3:] = _EXPONENT.take(exp).view("<u4").reshape(rows, cols, 2)
+
+    lines = buf.reshape(rows, cols * 5)
     parts, start = [], 0
-    for r in np.flatnonzero(~sure.all(axis=1)).tolist():
-        parts.append(_ascii(lines[start:r]))
-        parts.append(_line(block[r].tolist()) + "\n")
+    for r in np.flatnonzero(~finite.all(axis=1)).tolist():
+        parts.append(lines[start:r].tobytes())
+        parts.append((_line(block[r].tolist()) + "\n").encode("ascii"))
         start = r + 1
-    parts.append(_ascii(lines[start:]))
-    return "".join(parts)
+    parts.append(lines[start:].tobytes())
+    return b"".join(parts).translate(None, b"\0").decode("ascii")
 
 
 def _column_name(n: int) -> str:
@@ -273,17 +323,24 @@ def spectrogram_hash(spec: Spectrogram, config_echo: str | None = None) -> str:
     return record_hash(_payload(spec, config_echo))
 
 
-def _encode_array(array: np.ndarray) -> dict:
-    array = np.ascontiguousarray(array, dtype=_DTYPE)
-    return {"dtype": _DTYPE, "shape": list(array.shape),
-            "data": binascii.b2a_base64(array, newline=False).decode("ascii")}
-
-
 def _render(payload: dict, digest: str) -> str:
-    record = {k: _encode_array(v) if k in _ARRAYS else v
-              for k, v in payload.items()}
-    record["hash"] = digest
-    return json.dumps(record, sort_keys=True) + "\n"
+    """`json.dumps(record, sort_keys=True) + "\\n"` for the record holding
+    `payload` and `digest`, each array written as its base64 field.  The
+    base64 alphabet needs no JSON escape, so that text is written as is."""
+    record = {**payload, "hash": digest}
+    parts = []
+    for key in sorted(record):
+        parts += [", " if parts else "{", json.dumps(key), ": "]
+        if key in _ARRAYS:
+            array = np.ascontiguousarray(record[key], dtype=_DTYPE)
+            parts += ['{"data": "',
+                      binascii.b2a_base64(array, newline=False).decode(),
+                      f'", "dtype": "{_DTYPE}", '
+                      f'"shape": {json.dumps(list(array.shape))}}}']
+        else:
+            parts.append(json.dumps(record[key], sort_keys=True))
+    parts.append("}\n")
+    return "".join(parts)
 
 
 def render_record(spec: Spectrogram, config_echo: str | None = None) -> str:

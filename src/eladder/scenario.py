@@ -198,14 +198,3 @@ def run_scenario(sc: Scenario, dec: Decomposition | None = None) -> Spectrogram:
         "initial_center": sc.initial.center,
     }
     return propagate(dec, s0, sc.propagation, metadata=metadata)
-
-
-def trap_cycle_estimate(beta: float, kappa_mag: float) -> float:
-    """Characteristic confinement oscillation time pi hbar / sqrt(beta kappa).
-
-    Used to auto-size sweep time spans; both couplings must be positive."""
-    from .constants import HBAR
-
-    if beta <= 0 or kappa_mag <= 0:
-        raise ValidationError("cycle estimate needs positive beta and kappa")
-    return math.pi * HBAR / math.sqrt(beta * kappa_mag)

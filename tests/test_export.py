@@ -18,11 +18,15 @@ from eladder.persist import (
     _atomic_write_text,
     _cell,
     _format_rows,
+    _line,
+    _payload,
+    _render,
     _text_chunks,
     export_spectrogram,
     import_spectrogram,
     parse_record,
     parse_text,
+    record_hash,
     render_record,
     render_table,
     spectrogram_hash,
@@ -62,6 +66,35 @@ class TestTable:
         path = tmp_path / "t.csv"
         write_table(path, ["x"], [[0.5]])
         assert path.read_text().startswith("x\n5.0")
+
+
+# Floats that print differently, or take the per-cell or per-row fallback:
+# signed zeros, subnormals, rounding ties, a carry, NaN and the infinities.
+CELL_FLOATS = st.floats() | st.sampled_from([
+    0.0, -0.0, 5e-324, -2.2250738585072009e-308, 1e-300, 123456788.5,
+    -1.234567895e-20, 9.9999999951, float("nan"), float("inf"),
+    float("-inf")])
+CELLS = {
+    "float": CELL_FLOATS,
+    "int": st.integers(),
+    "str": st.text(max_size=5),
+    "mixed": CELL_FLOATS | st.integers() | st.text(max_size=5),
+}
+
+
+@st.composite
+def tables(draw):
+    kinds = draw(st.lists(st.sampled_from(sorted(CELLS)), max_size=5))
+    rows = draw(st.lists(st.tuples(*[CELLS[k] for k in kinds]), max_size=8))
+    return [f"c{i}" for i in range(len(kinds))], [list(r) for r in rows]
+
+
+@given(tables())
+@settings(deadline=None)
+def test_render_table_equals_cell_by_cell_lines(table):
+    headers, rows = table
+    assert render_table(headers, rows) == ", ".join(headers) + "\n" + "".join(
+        _line(row) + "\n" for row in rows)
 
 
 class TestTextFormat:
@@ -141,11 +174,12 @@ class TestTextFormatter:
         monkeypatch.undo()
         headers = ["t_fs"] + [("n=0" if n == 0 else f"n={n:+d}")
                               for n in range(-96, 97)]
-        expected = render_table(headers, [
-            [t] + row for t, row in zip(spec.times.tolist(),
-                                        spec.populations.tolist())])
+        expected = ", ".join(headers) + "\n" + "".join(
+            line(row) + "\n" for row in np.column_stack(
+                (spec.times, spec.populations)).tolist())
         assert path.read_bytes() == expected.encode("ascii")
-        assert len(fallback_rows) <= rows // 100
+        # a finite table: uncertain cells are redone one by one, not by row
+        assert len(fallback_rows) == 0
 
     def test_failed_chunk_source_keeps_the_old_file(self, tmp_path):
         target = tmp_path / "table.txt"
@@ -348,6 +382,24 @@ class TestRecordProperties:
         bundle = write_bundle(out, "run", spec, echo, {})
         stored = json.loads(bundle.spectrogram_path.read_text())["hash"]
         assert spectrogram_hash(spec, echo) == stored == bundle.content_hash
+
+    @given(spectrograms(), st.text(), st.dictionaries(
+        st.text(max_size=4), st.text() | CELL_FLOATS | st.integers(),
+        max_size=3))
+    @settings(max_examples=40, deadline=None)
+    def test_record_text_is_sorted_json(self, spec, echo, metadata):
+        # quotes, backslashes, control and non-ASCII characters included
+        echo += '"\\\x00\x1f\u00e9\u2028\U0001d11e'
+        payload = _payload(Spectrogram(**{**spec.__dict__,
+                                          "metadata": metadata}), echo)
+        digest = record_hash(payload)
+        record = {key: {"dtype": "<f8", "shape": list(value.shape),
+                        "data": base64.b64encode(value.tobytes()).decode()}
+                  if isinstance(value, np.ndarray) else value
+                  for key, value in payload.items()}
+        record["hash"] = digest
+        assert _render(payload, digest) == json.dumps(record,
+                                                      sort_keys=True) + "\n"
 
 
 class TestHash:

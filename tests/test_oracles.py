@@ -20,6 +20,8 @@ from eladder.oracles import (
     TwoLevelSolution,
     bessel_population,
     pendellosung_population,
+    separatrix_edge,
+    trap_cycle_estimate,
     two_level_reduction,
 )
 from eladder.propagate import PropagationConfig, decompose, propagate
@@ -68,6 +70,39 @@ class TestBesselAgainstLattice:
         n = np.arange(-48, 49)
         reference = jv(n, 2.0 * cs.kappa_mag * t / HBAR) ** 2
         assert np.abs(spec.populations[-1] - reference).max() < 1e-12
+
+
+class TestSeparatrix:
+    def test_edge_is_the_turning_point(self):
+        beta, kappa = 0.37, 2.9
+        edge = separatrix_edge(beta, kappa)
+        # the start's energy 2|kappa| (n = 0 at the top of the cosine)
+        # equals the edge's beta n^2 - 2|kappa| (at its bottom)
+        assert math.isclose(beta * edge**2 - 2.0 * kappa, 2.0 * kappa,
+                            rel_tol=1e-12)
+
+    def test_plane_start_fills_the_separatrix_and_no_more(self,
+                                                           simplified_run):
+        spec = simplified_run.spec
+        assert spec.metadata["detuning"] == 0.0
+        edge = separatrix_edge(spec.metadata["beta"],
+                               spec.metadata["kappa_mag"])
+        n = np.abs(spec.sideband_indices)
+
+        def beyond(fraction):
+            return spec.populations[:, n > fraction * edge].sum(axis=1).max()
+
+        assert beyond(0.9) > 0.05
+        assert beyond(1.2) < 1e-6
+
+    def test_validation(self):
+        with pytest.raises(ValidationError):
+            separatrix_edge(0.0, 1.0)
+        with pytest.raises(ValidationError):
+            separatrix_edge(1.0, -1.0)
+        with pytest.raises(ValidationError):
+            trap_cycle_estimate(1.0, 0.0)
+        assert separatrix_edge(1.0, 0.0) == 0.0
 
 
 class TestTwoLevelForm:
