@@ -445,10 +445,11 @@ def sweep(
     phase (see _scenario_at), so they share one Hamiltonian: the sweep
     decomposes it once and runs every point on that decomposition.
 
-    The base's t_end, sample_interval, n_max and truncation_cap (config
-    keys propagation.t_end, propagation.sample_interval, truncation.n_max
-    and truncation.cap) are ignored: _auto_sized runs each point for two
-    trap cycles, sampled 400 times, on a lattice sized to its own trap.
+    The base's t_end, sample_interval and n_max (config keys
+    propagation.t_end, propagation.sample_interval and truncation.n_max)
+    are ignored: _auto_sized runs each point for two trap cycles, sampled
+    400 times, on a lattice sized to its own trap.  A point whose lattice
+    exceeds the base's truncation_cap fails with ResourceLimitError.
     """
     if axis not in SWEEP_AXES:
         raise ValidationError(f"axis must be one of {SWEEP_AXES}")

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +43,7 @@ from .persist import TEXT_FORMAT, export_spectrogram, write_bundle, write_table
 from .physics import coupling_set
 from .propagate import (PropagationConfig, decompose, dense_oracle_compare,
                         propagate)
-from .scenario import InitialSpec, decompose_scenario, run_scenario
+from .scenario import decompose_scenario, run_scenario
 
 NUMERICAL_EXIT = 3
 IO_EXIT = 4
@@ -186,29 +185,20 @@ def cmd_oracle_check(args) -> int:
                               f"{t_end:.3g} fs (limit 1e-06)")
 
     # 2. Banded Chebyshev series against exact diagonalization, on the
-    # run's own decomposition when the two lattices are the same.
+    # configured run's own decomposition; every later check shares it.
     run = decompose_scenario(sc)
-    n_cmp = min(sc.n_max or 64, 128)
-    dec = run
-    if run.n_max != n_cmp:
-        dec = decompose(build_hamiltonian(electron, field, sc.variant, n_cmp))
-    state = sc.initial.build(n_cmp, sc.photon_energy)
     t_cmp = min(sc.propagation.t_end, 20.0)
-    err = dense_oracle_compare(dec, state, t_cmp)
+    err = dense_oracle_compare(
+        run, sc.initial.build(run.n_max, sc.photon_energy), t_cmp)
     all_ok &= _check_line("stepper", err < 1e-6,
                           f"max population difference {err:.3e} at "
                           f"{t_cmp:.3g} fs (limit 1e-06)")
 
     # 3. Two-level reduction, only meaningful deep in the pair-coupled regime.
     if cs.nath_rho is not None and cs.nath_rho > 10.0:
-        h = build_hamiltonian(electron, field, sc.variant, max(8, n_cmp))
-        sol = two_level_reduction(h, pair=(1, -1))
-        sc_pair = sc
-        if sc.initial.kind != "plane" or sc.initial.center != 1:
-            sc_pair = replace(sc, initial=InitialSpec(center=1))
-        # Same Hamiltonian as the run unless a truncation search sizes it.
-        shared = sc_pair is sc or sc.n_max is not None
-        spec = run_scenario(sc_pair, run if shared else None)
+        sol = two_level_reduction(run.h, pair=(1, -1))
+        spec = propagate(run, initial_plane_wave(run.n_max, 1),
+                         sc.propagation, metadata={"beta": cs.beta})
         try:
             transfer = population_transfer(spec, target=-1, pair=(1, -1))
             if transfer.periods:

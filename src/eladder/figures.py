@@ -12,12 +12,12 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import classify_regime, sweep
-from .ladder import build_hamiltonian
 from .oracles import pendellosung_population, two_level_reduction
 from .persist import TEXT_FORMAT, export_spectrogram, write_table
 from .physics import coupling_set, electron_from_energy, matched_field
 from .propagate import PropagationConfig, centroid_and_spread
-from .scenario import InitialSpec, Matching, Scenario, run_scenario
+from .scenario import (InitialSpec, Matching, Scenario, decompose_scenario,
+                       run_scenario)
 
 # The workhorse drive: a near-infrared field, moderate strength, phase
 # zero, hopping well above the on-site quadratic term.
@@ -113,12 +113,12 @@ def fig2b(out: Path) -> list[Path]:
         initial=InitialSpec(center=1),
         n_max=12,
     )
-    spec = run_scenario(sc)
+    dec = decompose_scenario(sc)
+    spec = run_scenario(sc, dec)
     p1 = out / "fig2b_spectrogram.txt"
     export_spectrogram(spec, p1, TEXT_FORMAT)
 
-    h = build_hamiltonian(sc.electron(), sc.field(), sc.variant, 12)
-    sol = two_level_reduction(h, pair=(1, -1))
+    sol = two_level_reduction(dec.h, pair=(1, -1))
     stay, come = pendellosung_population(sol, spec.times - spec.times[0])
     up = spec.populations[:, spec.n_max + 1]
     down = spec.populations[:, spec.n_max - 1]

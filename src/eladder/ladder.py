@@ -17,15 +17,15 @@ The full model carries, per site n,
     hop_2:     -(U_p / 2) * exp(2 i phi_0)
 
 where the half-step in the hop wavevector is what makes the two adjacent
-rows agree: k_{n+1} - k_z/2 = k_n + k_z/2.  The simplified model keeps only
+rows agree: k_{n+1} - k_z/2 = k_n + k_z/2.  Flags on ModelVariant switch
+the ponderomotive terms, the n-dependence of the hop, and the gamma^3
+curvature correction individually, and the quadratic term can be scaled
+(quadratic_scale=0 isolates the linear-slope dynamics used by the mismatch
+studies).  The simplified model is the same formula with the ponderomotive
+and hop-asymmetry terms off, and gamma^3 off unless its flag is set:
 
-    diagonal:  -n * detuning + beta n^2
+    diagonal:  -n * detuning + beta n^2       (beta / gamma^3 with the flag)
     hop_1:     |kappa| exp(i (phi_0 + pi/2))
-
-Flags on ModelVariant switch the ponderomotive terms, the n-dependence of
-the hop, and the gamma^3 curvature correction individually, and the
-quadratic term can be scaled (quadratic_scale=0 isolates the linear-slope
-dynamics used by the mismatch studies).
 """
 from __future__ import annotations
 
@@ -53,9 +53,10 @@ TRUNCATION_CAP = 4096
 class ModelVariant:
     """Which terms of the ladder Hamiltonian are active.
 
-    kind is "full" or "simplified".  The simplified kind requires the
-    ponderomotive and hop-asymmetry flags to be off (its defining
-    approximation), which the factory methods below arrange.
+    kind is "full" or "simplified"; it sets no term itself.  The
+    simplified kind requires the ponderomotive and hop-asymmetry flags to be
+    off (its defining approximation), which the factory methods below
+    arrange, and defaults the gamma^3 flag to off.
     detuning_override, when set, replaces the derived linear slope (eV).
     quadratic_scale multiplies the n^2 term; 0 turns it off.
     """
@@ -111,6 +112,21 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def band_matrix(diagonal: np.ndarray, hop_1: np.ndarray,
+                hop_2: np.ndarray) -> np.ndarray:
+    """The Hermitian matrix with these bands on and above the diagonal and
+    their conjugates below it; real when all three bands are."""
+    dim = len(diagonal)
+    m = np.zeros((dim, dim), dtype=np.result_type(diagonal, hop_1, hop_2))
+    i = np.arange(dim)
+    m[i, i] = diagonal
+    m[i[:-1], i[1:]] = hop_1
+    m[i[1:], i[:-1]] = np.conj(hop_1)
+    m[i[:-2], i[2:]] = hop_2
+    m[i[2:], i[:-2]] = np.conj(hop_2)
+    return m
+
+
 @dataclass(frozen=True)
 class LadderHamiltonian:
     """Banded Hermitian operator over sideband indices -N..N."""
@@ -140,17 +156,7 @@ class LadderHamiltonian:
 
     def to_dense(self) -> np.ndarray:
         """Expand the bands into a full complex matrix."""
-        dim = self.dim
-        h = np.zeros((dim, dim), dtype=complex)
-        idx = np.arange(dim)
-        h[idx, idx] = self.diagonal
-        i = np.arange(dim - 1)
-        h[i, i + 1] = self.hop_1
-        h[i + 1, i] = np.conj(self.hop_1)
-        i = np.arange(dim - 2)
-        h[i, i + 2] = self.hop_2
-        h[i + 2, i] = np.conj(self.hop_2)
-        return h
+        return band_matrix(self.diagonal, self.hop_1, self.hop_2)
 
     def apply(self, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Banded matrix-vector product H @ a."""
@@ -189,32 +195,25 @@ def build_hamiltonian(
     detuning = variant.detuning(cs)
     phase = f.initial_phase + math.pi / 2.0
 
-    if variant.kind == "simplified":
-        diagonal = -n * detuning + variant.quadratic_scale * cs.beta * n**2
-        hop_1 = np.full(
-            2 * n_max, cs.kappa_mag * np.exp(1j * phase), dtype=complex
-        )
-        hop_2 = np.zeros(2 * n_max - 1, dtype=complex)
+    gamma_cubed = e.lorentz_factor**3 if variant.include_gamma_cubed else 1.0
+    curvature = (HBAR * f.wavevector) ** 2 / (2.0 * gamma_cubed * ELECTRON_MASS)
+    diagonal = -n * detuning + variant.quadratic_scale * curvature * n**2
+    if variant.include_ponderomotive:
+        diagonal = diagonal - cs.ponderomotive
+    k0 = e.momentum / HBAR
+    if variant.include_recoil_asymmetry:
+        hop_k = k0 + (n[:-1] + 0.5) * f.wavevector
     else:
-        gamma_cubed = e.lorentz_factor**3 if variant.include_gamma_cubed else 1.0
-        curvature = (HBAR * f.wavevector) ** 2 / (2.0 * gamma_cubed * ELECTRON_MASS)
-        diagonal = -n * detuning + variant.quadratic_scale * curvature * n**2
-        if variant.include_ponderomotive:
-            diagonal = diagonal - cs.ponderomotive
-        k0 = e.momentum / HBAR
-        if variant.include_recoil_asymmetry:
-            hop_k = k0 + (n[:-1] + 0.5) * f.wavevector
-        else:
-            hop_k = np.full(2 * n_max, k0)
-        hop_1 = cs.delta * hop_k * np.exp(1j * phase)
-        if variant.include_ponderomotive:
-            hop_2 = np.full(
-                2 * n_max - 1,
-                -(cs.ponderomotive / 2.0) * np.exp(2j * f.initial_phase),
-                dtype=complex,
-            )
-        else:
-            hop_2 = np.zeros(2 * n_max - 1, dtype=complex)
+        hop_k = np.full(2 * n_max, k0)
+    hop_1 = cs.delta * hop_k * np.exp(1j * phase)
+    if variant.include_ponderomotive:
+        hop_2 = np.full(
+            2 * n_max - 1,
+            -(cs.ponderomotive / 2.0) * np.exp(2j * f.initial_phase),
+            dtype=complex,
+        )
+    else:
+        hop_2 = np.zeros(2 * n_max - 1, dtype=complex)
 
     return LadderHamiltonian(
         n_max=n_max,

@@ -111,7 +111,6 @@ class CouplingSet:
 
     beta: float
     kappa_mag: float
-    kappa_phase: float
     delta: float
     ponderomotive: float
     detuning: float
@@ -200,7 +199,6 @@ def coupling_set(e: ElectronParams, f: FieldParams) -> CouplingSet:
     return CouplingSet(
         beta=beta,
         kappa_mag=kappa_mag,
-        kappa_phase=wrap_phase(f.initial_phase + math.pi / 2.0),
         delta=delta,
         ponderomotive=ponderomotive,
         detuning=detuning,

@@ -47,7 +47,7 @@ import numpy as np
 
 from .constants import HBAR
 from .errors import IntegrationError, ValidationError
-from .ladder import LadderHamiltonian, LadderState
+from .ladder import LadderHamiltonian, LadderState, band_matrix
 
 GAUGE_RESIDUE = 1e-12
 PRUNE_BOUND = 1e-14
@@ -115,14 +115,7 @@ def _real_form(h: LadderHamiltonian) -> tuple[float, np.ndarray]:
     residue = max(np.abs(hop_1.imag).max(), np.abs(hop_2.imag).max())
     if residue > GAUGE_RESIDUE * scale:
         return 0.0, h.to_dense()
-    m = np.zeros((h.dim, h.dim))
-    i = np.arange(h.dim)
-    m[i, i] = h.diagonal
-    i = i[:-1]
-    m[i, i + 1] = m[i + 1, i] = hop_1.real
-    i = i[:-1]
-    m[i, i + 2] = m[i + 2, i] = hop_2.real
-    return theta, m
+    return theta, band_matrix(h.diagonal, hop_1.real, hop_2.real)
 
 
 def _kept_modes(weights: np.ndarray) -> np.ndarray:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ValidationError
+from .errors import ResourceLimitError, ValidationError
 from .ladder import (
     LadderState,
     ModelVariant,
@@ -158,10 +158,15 @@ def _initial_guess_n(sc: Scenario) -> int:
 
 def decompose_scenario(sc: Scenario) -> Decomposition:
     """The decomposition a run of sc propagates with: of the Hamiltonian on
-    sc.n_max, or the one the truncation search accepts when n_max is None."""
+    sc.n_max, or the one the truncation search accepts when n_max is None.
+    Either size past sc.truncation_cap raises ResourceLimitError."""
     e = sc.electron()
     f = sc.field()
     if sc.n_max is not None:
+        if sc.n_max > sc.truncation_cap:
+            raise ResourceLimitError(
+                f"n_max {sc.n_max} exceeds the truncation cap of "
+                f"{sc.truncation_cap} sidebands")
         return decompose(build_hamiltonian(e, f, sc.variant, sc.n_max))
     probe = sc.initial.build(_initial_guess_n(sc), sc.photon_energy)
     return adaptive_truncation(

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import eladder
-from eladder import cli
+from eladder import cli, scenario
 from eladder.cli import main
 from eladder.errors import (
     ConfigError,
@@ -135,6 +135,26 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: category=validation truncation cap ")
         assert "at least 1" in err
+
+    @pytest.mark.parametrize("lines", [["truncation.n_max = 5000"],
+                                       ["truncation.n_max = 64",
+                                        "truncation.cap = 10"]],
+                             ids=["default-cap", "cap-10"])
+    def test_explicit_n_max_past_cap_is_3(self, lines, tmp_path, capsys,
+                                          monkeypatch):
+        def no_build(*args):
+            raise AssertionError("a lattice past the cap was built")
+
+        monkeypatch.setattr(scenario, "build_hamiltonian", no_build)
+        path = tmp_path / "big.cfg"
+        path.write_text(CHEAP.replace("truncation.n_max = 16",
+                                      "\n".join(lines)))
+        code = main(["simulate", str(path), "--out", str(tmp_path / "o")])
+        assert code == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: category=numerical n_max ")
+        assert "exceeds the truncation cap" in err[0]
 
     @pytest.mark.parametrize("line", ["propagation.method = banded",
                                       "propagation.method = dense",
@@ -280,17 +300,33 @@ class TestClassify:
         assert capsys.readouterr().out.startswith("Bragg (rho = ")
 
 
-@pytest.mark.parametrize("command, config, calls", [
-    ("simulate", README, [129]),
-    ("oracle-check", README, [97, 129]),
-    ("oracle-check", BRAGG, [97, 25]),
-], ids=["simulate", "oracle-check", "oracle-check-bragg"])
+# The Bragg point started at n = 0 on a searched lattice: the two-level
+# line's pair run (a plane start at n = 1) shares the run's decomposition
+# and prints what a run on its own lattice printed.
+BRAGG_AUTO_0 = (BRAGG.replace("initial.center = 1", "initial.center = 0")
+                .replace("truncation.n_max = 12\n", ""))
+BRAGG_AUTO_0_LINES = [
+    r"PASS bessel: max population error \S+ over 67.4 fs \(limit 1e-06\)",
+    r"PASS stepper: max population difference 1\.785e-08 at 20 fs "
+    r"\(limit 1e-06\)",
+    r"PASS two-level: period 1371 fs vs 1362 fs \(0\.7% off, limit 15%\)",
+    r"PASS norm: max drift \S+ \(limit 1\.0e-08\)",
+]
+
+
+@pytest.mark.parametrize("command, config, calls, lines", [
+    ("simulate", README, [129], None),
+    ("oracle-check", README, [97, 129], None),
+    ("oracle-check", BRAGG, [97, 25], None),
+    ("oracle-check", BRAGG_AUTO_0, [97, 129], BRAGG_AUTO_0_LINES),
+], ids=["simulate", "oracle-check", "oracle-check-bragg",
+        "oracle-check-bragg-auto-center-0"])
 def test_a_command_keeps_no_decomposition(tmp_path, capsys, eigh_calls,
-                                          command, config, calls):
+                                          command, config, calls, lines):
     """Run twice in one process, a command makes the same eigh calls and
     prints the same lines, record hash included: no decomposition outlives
     the command that made it, and within it each lattice is solved once
-    (on the Bragg config the stepper, two-level and norm lines share one)."""
+    (on the Bragg configs the stepper, two-level and norm lines share one)."""
     path = tmp_path / "run.cfg"
     path.write_text(config)
     printed = []
@@ -303,6 +339,10 @@ def test_a_command_keeps_no_decomposition(tmp_path, capsys, eigh_calls,
         assert eigh_calls == calls
         printed.append(capsys.readouterr().out.replace(str(out), "OUT"))
     assert printed[0] == printed[1]
+    if lines is not None:
+        assert len(printed[0].splitlines()) == len(lines)
+        for got, want in zip(printed[0].splitlines(), lines):
+            assert re.fullmatch(want, got)
 
 
 class TestOracleCheck:

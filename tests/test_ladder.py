@@ -101,6 +101,18 @@ class TestBuild:
                            rtol=1e-15)
         assert np.abs(h.hop_2).max() == 0.0
 
+    def test_simplified_honours_gamma_cubed(self, trap_electron, trap_field,
+                                            trap_couplings):
+        h = build_hamiltonian(
+            trap_electron, trap_field,
+            ModelVariant.simplified(detuning_override=0.3,
+                                    include_gamma_cubed=True), 8)
+        n = np.arange(-8, 9)
+        g3 = trap_electron.lorentz_factor**3
+        expected = -n * 0.3 + trap_couplings.beta * n**2 / g3
+        assert g3 > 1.0 + 1e-4
+        assert np.allclose(h.diagonal, expected, rtol=1e-14, atol=0.0)
+
     def test_quadratic_scale_zero_leaves_linear_diagonal(self, trap_electron,
                                                          trap_field):
         h = build_hamiltonian(trap_electron, trap_field,

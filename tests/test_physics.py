@@ -6,7 +6,6 @@ an independent reference.
 """
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
