@@ -12,6 +12,7 @@ Conventions used throughout:
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -27,7 +28,8 @@ from .oracles import separatrix_edge, trap_cycle_estimate
 from .physics import CouplingSet, coupling_set, electron_from_energy
 from .propagate import (POPULATION_THRESHOLD, Decomposition, Spectrogram,
                         centroid_and_spread)
-from .scenario import Scenario, decompose_scenario, run_scenario
+from .scenario import (InitialSpec, Scenario, decompose_scenario,
+                       run_scenario)
 
 PRESENCE_FLOOR = 1e-9
 
@@ -412,44 +414,53 @@ def _auto_sized(sc: Scenario, cycles: float = 2.0) -> Scenario:
     return replace(sc, propagation=cfg, n_max=n_max)
 
 
-def _evaluate_point(
-    base: Scenario, axis: str, value: float, observable: str, threshold: float,
-    dec: Decomposition | None,
-) -> float:
-    sc = _scenario_at(base, axis, value)
-    if observable == "rho":
-        cs = coupling_set(electron_from_energy(sc.kinetic_energy), sc.field())
-        if cs.nath_rho is None:
-            raise ValidationError("rho undefined at zero field")
-        return cs.nath_rho
-    spec = run_scenario(_auto_sized(sc), dec)
+def _rho(sc: Scenario) -> float:
+    cs = coupling_set(electron_from_energy(sc.kinetic_energy), sc.field())
+    if cs.nath_rho is None:
+        raise ValidationError("rho undefined at zero field")
+    return cs.nath_rho
+
+
+def _observe(sc: Scenario, dec: Decomposition, observable: str,
+             threshold: float) -> float:
+    spec = run_scenario(sc, dec)
     if observable == "trap_width":
         return trap_width(spec, threshold).width
-    if observable == "revival_period":
-        return revival_period(spec)
-    raise ValidationError(f"unknown observable {observable!r}")
+    return revival_period(spec)
 
 
-def sweep(
+def _attempt(call, *args):
+    """call(*args), or the per-point error it raised."""
+    try:
+        return call(*args)
+    except (LadderError, ValueError) as exc:
+        return exc
+
+
+def sweep_starts(
     axis: str,
     grid,
     base: Scenario,
+    starts: Sequence[InitialSpec],
     observable: str,
     threshold: float = POPULATION_THRESHOLD,
-) -> list[SweepRow]:
-    """Evaluate an observable along one parameter axis.
+) -> list[list[SweepRow]]:
+    """Evaluate an observable along one parameter axis for several starts.
 
-    Rows come back in grid order.  Per-point failures are recorded in the
-    row and the sweep continues; if every point fails, SweepError carries
-    the first message.  Phase points differ only in the start's linear
-    phase (see _scenario_at), so they share one Hamiltonian: the sweep
-    decomposes it once and runs every point on that decomposition.
+    Returns one row list per start (an InitialSpec standing in for base's
+    own), each in grid order.  At every grid point each start is sized by
+    _auto_sized, the Hamiltonian is built and decomposed once on the widest
+    of those lattices, and every start runs on that decomposition; a
+    narrower start thus gains sites beyond its own trap.  A point reuses
+    the previous point's decomposition when its widest lattice has the same
+    Hamiltonian inputs, as every phase point does (see _scenario_at), and
+    a decomposition that failed is not tried again for that lattice: its
+    error goes into each of the lattice's rows.  A point whose widest
+    lattice exceeds the base's truncation_cap fails for every start.
 
-    The base's t_end, sample_interval and n_max (config keys
-    propagation.t_end, propagation.sample_interval and truncation.n_max)
-    are ignored: _auto_sized runs each point for two trap cycles, sampled
-    400 times, on a lattice sized to its own trap.  A point whose lattice
-    exceeds the base's truncation_cap fails with ResourceLimitError.
+    Per-point failures are recorded in the row and the sweep continues; if
+    every point of a start fails, SweepError carries that start's first
+    message.  No decomposition is kept after the call returns.
     """
     if axis not in SWEEP_AXES:
         raise ValidationError(f"axis must be one of {SWEEP_AXES}")
@@ -459,17 +470,62 @@ def sweep(
     if not values:
         raise ValidationError("sweep grid is empty")
 
-    rows = []
-    shared = None
+    columns: list[list[SweepRow]] = [[] for _ in starts]
+    lattice = dec = None
     for i, v in enumerate(values):
         try:
-            if axis == "phase" and observable != "rho" and shared is None:
-                shared = decompose_scenario(_auto_sized(base))
-            result = _evaluate_point(base, axis, v, observable, threshold,
-                                     shared)
-            rows.append(SweepRow(i, axis, v, observable, result))
+            at = [_scenario_at(replace(base, initial=s), axis, v)
+                  for s in starts]
+            if observable == "rho":
+                outcomes = [_rho(at[0])] * len(starts)
+            else:
+                sized = [_auto_sized(sc) for sc in at]
+                widest = max(sized, key=lambda sc: sc.n_max)
+                key = replace(widest, initial=base.initial,
+                              propagation=base.propagation)
+                if key != lattice:
+                    lattice, dec = key, _attempt(decompose_scenario, widest)
+                outcomes = [
+                    dec if isinstance(dec, Exception)
+                    else _attempt(_observe, sc, dec, observable, threshold)
+                    for sc in sized
+                ]
         except (LadderError, ValueError) as exc:
-            rows.append(SweepRow(i, axis, v, observable, None, error=str(exc)))
-    if all(r.error is not None for r in rows):
-        raise SweepError(f"every grid point failed; first error: {rows[0].error}")
-    return rows
+            outcomes = [exc] * len(starts)
+        for column, out in zip(columns, outcomes):
+            if isinstance(out, Exception):
+                column.append(SweepRow(i, axis, v, observable, None,
+                                       error=str(out)))
+            else:
+                column.append(SweepRow(i, axis, v, observable, out))
+    for column in columns:
+        if all(r.error is not None for r in column):
+            raise SweepError(
+                f"every grid point failed; first error: {column[0].error}")
+    return columns
+
+
+def sweep(
+    axis: str,
+    grid,
+    base: Scenario,
+    observable: str,
+    threshold: float = POPULATION_THRESHOLD,
+) -> list[SweepRow]:
+    """Evaluate an observable along one parameter axis: sweep_starts with
+    base's own start alone, so each point runs on its own sized lattice.
+
+    Rows come back in grid order.  Per-point failures are recorded in the
+    row and the sweep continues; if every point fails, SweepError carries
+    the first message.  Phase points differ only in the start's linear
+    phase (see _scenario_at), so they share one Hamiltonian, decomposed
+    once.
+
+    The base's t_end, sample_interval and n_max (config keys
+    propagation.t_end, propagation.sample_interval and truncation.n_max)
+    are ignored: _auto_sized runs each point for two trap cycles, sampled
+    400 times, on a lattice sized to its own trap.  A point whose lattice
+    exceeds the base's truncation_cap fails with ResourceLimitError.
+    """
+    return sweep_starts(axis, grid, base, [base.initial], observable,
+                        threshold)[0]

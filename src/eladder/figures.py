@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import classify_regime, sweep
+from .analysis import classify_regime, sweep, sweep_starts
 from .oracles import pendellosung_population, two_level_reduction
 from .persist import TEXT_FORMAT, export_spectrogram, write_table
 from .physics import coupling_set, electron_from_energy, matched_field
@@ -132,10 +132,12 @@ def fig2b(out: Path) -> list[Path]:
     return [p1, p2]
 
 
-def _width_columns(axis: str, grid, plane_base: Scenario,
-                   packet_base: Scenario) -> list[list]:
-    plane_rows = sweep(axis, grid, plane_base, "trap_width")
-    packet_rows = sweep(axis, grid, packet_base, "trap_width")
+def _width_columns(axis: str, grid, base: Scenario) -> list[list]:
+    """Rows of (grid value, plane width, packet width): one sweep with both
+    starts, so each grid point is decomposed once, on the packet's wider
+    lattice, and the plane start runs there too."""
+    plane_rows, packet_rows = sweep_starts(
+        axis, grid, base, [InitialSpec(), _packet()], "trap_width")
     table = []
     for a, b in zip(plane_rows, packet_rows):
         table.append([float(a.value),
@@ -147,22 +149,20 @@ def _width_columns(axis: str, grid, plane_base: Scenario,
 def fig3a(out: Path) -> list[Path]:
     """Trap width against beam energy, plane wave and packet."""
     grid = np.arange(20.0, 200.0 + 1.0, 20.0)
-    plane = _trap_scenario(InitialSpec(), n_max=None, t_end=60.0, sample=0.05)
-    packet = _trap_scenario(_packet(), n_max=None, t_end=60.0, sample=0.05)
+    base = _trap_scenario(InitialSpec(), n_max=None, t_end=60.0, sample=0.05)
     path = out / "fig3a_width_vs_energy.txt"
     write_table(path, ["energy_ev", "width_plane_ev", "width_packet_ev"],
-                _width_columns("energy", grid, plane, packet))
+                _width_columns("energy", grid, base))
     return [path]
 
 
 def fig3b(out: Path) -> list[Path]:
     """Trap width against drive amplitude at fixed beam energy."""
     grid = np.arange(0.2, 2.0 + 0.01, 0.2)
-    plane = _trap_scenario(InitialSpec(), n_max=None, t_end=60.0, sample=0.05)
-    packet = _trap_scenario(_packet(), n_max=None, t_end=60.0, sample=0.05)
+    base = _trap_scenario(InitialSpec(), n_max=None, t_end=60.0, sample=0.05)
     path = out / "fig3b_width_vs_field.txt"
     write_table(path, ["field_v_nm", "width_plane_ev", "width_packet_ev"],
-                _width_columns("field", grid, plane, packet))
+                _width_columns("field", grid, base))
     return [path]
 
 

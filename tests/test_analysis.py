@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eladder import (
     InsufficientSpanError,
@@ -25,14 +27,15 @@ from eladder.analysis import (
     population_transfer,
     revival_period,
     sweep,
+    sweep_starts,
     trap_width,
 )
 from eladder.constants import HBAR
 from eladder.propagate import Spectrogram
 
-from conftest import timed, trap_scenario
+from conftest import packet, timed, trap_scenario
 from eladder.figures import make_figure
-from eladder.scenario import InitialSpec, run_scenario
+from eladder.scenario import InitialSpec, decompose_scenario, run_scenario
 
 
 def make_spec(times, pops, metadata=None):
@@ -312,3 +315,90 @@ class TestPhaseSweep:
     def test_fig3c_grid_is_solved_once(self, tmp_path, eigh_calls):
         make_figure("fig3c", tmp_path)
         assert len(eigh_calls) == 1
+
+
+class TestSweepStarts:
+    """Starts swept together share each grid point's widest lattice and its
+    one decomposition; that changes no start's result."""
+
+    STARTS = (InitialSpec(), packet())
+
+    @pytest.fixture(scope="class")
+    def plane_base(self):
+        return trap_scenario(InitialSpec(), None, 60.0, 0.05)
+
+    @pytest.mark.parametrize("axis, grid", [
+        ("energy", [40.0, 130.0]),
+        ("field", [0.4, 1.4]),
+        ("phase", [-2.0, 0.5, 2.5]),
+    ])
+    def test_each_start_reads_as_its_own_sweep(self, plane_base, axis, grid):
+        together = sweep_starts(axis, grid, plane_base, self.STARTS,
+                                "trap_width")
+        for start, rows in zip(self.STARTS, together):
+            alone = sweep(axis, grid, replace(plane_base, initial=start),
+                          "trap_width")
+            assert rows == alone
+
+    @staticmethod
+    def _plane_widths(base, energy, field):
+        """The plane start's trap width on its own sized lattice and on the
+        packet's wider one."""
+        at = replace(base, kinetic_energy=energy, amplitude=field)
+        own = _auto_sized(at)
+        wide = _auto_sized(replace(at, initial=packet()))
+        assert wide.n_max > own.n_max
+        return (trap_width(run_scenario(own)).width,
+                trap_width(run_scenario(own, decompose_scenario(wide))).width)
+
+    def test_plane_width_holds_on_the_packet_lattice_at_fig3_points(
+            self, plane_base):
+        points = ([(e, 1.0) for e in np.arange(20.0, 200.0 + 1.0, 20.0)]
+                  + [(100.0, f) for f in np.arange(0.2, 2.0 + 0.01, 0.2)])
+        moved = []
+        for e, f in points:
+            own, wide = self._plane_widths(plane_base, float(e), float(f))
+            if own != wide:
+                moved.append((e, f, own, wide))
+        assert moved == []
+
+    @settings(max_examples=10, deadline=None)
+    @given(energy=st.floats(20.0, 200.0), field=st.floats(0.2, 2.0))
+    def test_plane_width_holds_on_the_packet_lattice(self, plane_base,
+                                                     energy, field):
+        own, wide = self._plane_widths(plane_base, energy, field)
+        assert own == wide
+
+    def test_failed_shared_decomposition_is_tried_once(self, monkeypatch):
+        attempts = []
+
+        def failing(m):
+            attempts.append(m.shape[0])
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", failing)
+        grid = -np.pi + 2.0 * np.pi * np.arange(1, 17) / 16.0
+        base = trap_scenario(packet(), None, 60.0, 0.05)
+        with pytest.raises(SweepError, match="did not converge"):
+            sweep("phase", grid, base, "trap_width")
+        assert len(attempts) == 1
+
+    def test_a_failed_lattice_fails_each_start(self, plane_base,
+                                               monkeypatch):
+        eigh = np.linalg.eigh
+        widest = _auto_sized(replace(plane_base, kinetic_energy=40.0,
+                                     initial=packet()))
+        failing_dim = 2 * widest.n_max + 1
+
+        def fails_at(m):
+            if m.shape[0] == failing_dim:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eigh(m)
+
+        monkeypatch.setattr(np.linalg, "eigh", fails_at)
+        plane, pkt = sweep_starts("energy", [40.0, 130.0], plane_base,
+                                  self.STARTS, "trap_width")
+        for rows in (plane, pkt):
+            assert rows[0].result is None
+            assert "did not converge" in rows[0].error
+            assert rows[1].error is None

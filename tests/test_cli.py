@@ -345,6 +345,25 @@ def test_a_command_keeps_no_decomposition(tmp_path, capsys, eigh_calls,
             assert re.fullmatch(want, got)
 
 
+
+@pytest.mark.parametrize("name, calls", [
+    ("fig3a", [123, 145, 163, 181, 197, 213, 227, 241, 255, 269]),
+    ("fig3b", [139, 159, 173, 187, 197, 207, 217, 225, 233, 241]),
+])
+def test_a_width_figure_solves_each_grid_point_once(tmp_path, eigh_calls,
+                                                    name, calls):
+    """The plane and packet columns share each grid point's decomposition,
+    on the packet's lattice: one eigh call per point, the same calls and the
+    same table on a second run in the same process."""
+    tables = []
+    for out in (tmp_path / "first", tmp_path / "second"):
+        eigh_calls.clear()
+        assert main(["figure", name, "--out", str(out)]) == 0
+        assert eigh_calls == calls
+        tables.append([p.read_bytes() for p in sorted(out.iterdir())])
+    assert tables[0] == tables[1]
+
+
 class TestOracleCheck:
     def test_trap_config_passes(self, cheap_config, capsys):
         assert main(["oracle-check", str(cheap_config)]) == 0
