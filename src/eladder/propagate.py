@@ -15,13 +15,24 @@ One production route and one independent oracle:
   (generic complex bands) are solved as the complex matrix, with theta = 0.
   The route returns populations only, which never see the row phase d, and
   rebuilds them from the kept modes: after the start's weights w = V^dagger
-  conj(d) a0, it drops modes smallest-|w| first while the dropped |w| sum to
-  at most PRUNE_BOUND.  Since |v_k(n)| <= 1, that moves no amplitude by more
-  than the bound and no population by more than 2 bound + bound^2.  A narrow
-  start in the trap leaves most modes idle: the README run keeps 64 of 129.
-  Populations are (V c_re)^2 + (V c_im)^2 on the real gauge and |V c|^2 on
-  the complex fallback, with c_k(t) = w_k exp(-i E_k t / hbar) for the kept
-  modes only.  decompose(h) makes the eigendecomposition a Decomposition
+  conj(d) a0 (two real products on the real gauge), it drops modes
+  smallest-|w| first while the dropped |w| sum to at most PRUNE_BOUND.
+  Since |v_k(n)| <= 1, that moves no amplitude by more than the bound and
+  no population by more than 2 bound + bound^2.  A narrow start in the trap
+  leaves most modes idle: the README run keeps 64 of 129.  The phase table
+  c_k(t_j) = w_k exp(-i (E_k - <E>) t_j / hbar) of the k kept modes is laid
+  out T x k.  <E> = sum |w_k|^2 E_k / sum |w_k|^2 is the start's mean
+  energy; it adds a common phase that populations do not see, and it keeps
+  the phases of the heavy modes, and so their roundoff, small.  The offset
+  t_j = j dt comes from the sample index, not from the times.  Writing
+  j = b q + r with b = ceil(sqrt(n)) for the n on-grid samples, each entry
+  is the product of a block factor (the weight folded in) and an offset
+  factor, so a call takes about 2 sqrt(T) k exponentials instead of T k;
+  an off-grid final sample (t_end not a multiple of dt) gets its own.
+  Populations are (c_re V^T)^2 + (c_im V^T)^2 on the real gauge, two real
+  products that write the C-ordered T x dim result, squared in place, and
+  |c V^T|^2 on the complex fallback.  decompose(h) makes the
+  eigendecomposition a Decomposition
   value, dim^2 floats (8.4 MB at dim 1025), and propagate takes it, so the
   caller decides how long it lives and who shares it: the lattice a
   truncation search accepts is diagonalized once for the trial and the run
@@ -92,13 +103,47 @@ class Spectrogram:
         return np.arange(-self.n_max, self.n_max + 1)
 
 
+def _sample_grid(cfg: PropagationConfig) -> tuple[int, bool]:
+    """(n, off_grid): the grid's offsets from its start are j sample_interval
+    for j < n, then t_end itself when off_grid."""
+    dt = cfg.sample_interval
+    n = int(np.floor(cfg.t_end / dt + 1e-9)) + 1
+    return n, (n - 1) * dt < cfg.t_end - 1e-9 * dt
+
+
 def _sample_times(t0: float, cfg: PropagationConfig) -> np.ndarray:
-    n_whole = int(np.floor(cfg.t_end / cfg.sample_interval + 1e-9))
-    times = t0 + cfg.sample_interval * np.arange(n_whole + 1)
-    t_final = t0 + cfg.t_end
-    if times[-1] < t_final - 1e-9 * cfg.sample_interval:
-        times = np.append(times, t_final)
-    return times
+    n, off_grid = _sample_grid(cfg)
+    times = t0 + cfg.sample_interval * np.arange(n)
+    return np.append(times, t0 + cfg.t_end) if off_grid else times
+
+
+def _phases(offsets: np.ndarray, rates: np.ndarray) -> np.ndarray:
+    """exp(-i w t) for the angular frequencies w, one row per offset t."""
+    return np.exp(-1j * np.outer(offsets, rates))
+
+
+def _phase_table(energies: np.ndarray, weights: np.ndarray,
+                 cfg: PropagationConfig) -> np.ndarray:
+    """T x k table w_k exp(-i (E_k - <E>) t_j / hbar) over the offsets t_j
+    of cfg's grid, <E> the weights' mean energy.  With j = b q + r and
+    b = ceil(sqrt(n)), an on-grid entry is the block factor at t = b q dt,
+    weight included, times the offset factor at t = r dt; an off-grid final
+    row has its own exponential."""
+    n, off_grid = _sample_grid(cfg)
+    dt = cfg.sample_interval
+    b = math.isqrt(n - 1) + 1
+    blocks = -(-n // b)
+    mass = np.abs(weights) ** 2
+    rates = (energies - mass @ energies / mass.sum()) / HBAR
+    table = np.empty((blocks * b + off_grid, len(rates)), dtype=complex)
+    np.multiply(
+        (_phases(dt * np.arange(0, blocks * b, b), rates) * weights)[:, None],
+        _phases(dt * np.arange(b), rates),
+        out=table[: blocks * b].reshape(blocks, b, -1),
+    )
+    if off_grid:
+        table[n] = weights * _phases(np.array([cfg.t_end]), rates)[0]
+    return table[: n + off_grid]
 
 
 def _real_form(h: LadderHamiltonian) -> tuple[float, np.ndarray]:
@@ -151,20 +196,34 @@ class Decomposition:
     def n_max(self) -> int:
         return self.h.n_max
 
-    def populations(self, a0: np.ndarray, times: np.ndarray) -> np.ndarray:
-        """T x dim populations of a0 evolved under h, from the kept modes."""
-        d = np.exp(1j * self.theta * np.arange(self.dim))
-        weights = self.modes.conj().T @ (d.conj() * a0)
+    def populations(self, a0: np.ndarray, cfg: PropagationConfig) -> np.ndarray:
+        """Read-only, C-ordered T x dim populations of a0 evolved under h on
+        cfg's sample grid (offsets from the start), from the kept modes.
+
+        The T x k phase table comes from _phase_table, and the result from
+        one real product per part (one complex product on the complex
+        fallback) against the kept modes.
+        """
+        x = np.exp(-1j * self.theta * np.arange(self.dim)) * a0
+        if np.iscomplexobj(self.modes):
+            weights = self.modes.conj().T @ x
+        else:
+            weights = self.modes.T @ x.real + 1j * (self.modes.T @ x.imag)
         kept = _kept_modes(weights)
         modes = self.modes[:, kept]
-        c = np.exp(-1j * np.outer(self.energies[kept], times - times[0]) / HBAR)
-        c *= weights[kept, None]
+        table = _phase_table(self.energies[kept], weights[kept], cfg)
         if np.iscomplexobj(modes):
-            amplitudes = modes @ c
-            re, im = amplitudes.real, amplitudes.imag
+            amplitudes = table @ modes.T
+            p = amplitudes.real * amplitudes.real
+            p += amplitudes.imag * amplitudes.imag
         else:
-            re, im = modes @ c.real, modes @ c.imag
-        return (re * re + im * im).T
+            p = table.real @ modes.T
+            p *= p
+            im = table.imag @ modes.T
+            im *= im
+            p += im
+        p.setflags(write=False)
+        return p
 
 
 def decompose(h: LadderHamiltonian) -> Decomposition:
@@ -238,7 +297,7 @@ def propagate(
             f"Hamiltonian dimension {dec.dim}"
         )
     times = _sample_times(s0.time, cfg)
-    populations = dec.populations(s0.amplitudes, times)
+    populations = dec.populations(s0.amplitudes, cfg)
     drift = np.abs(populations.sum(axis=1) - 1.0)
     worst = float(drift.max())
     if worst > cfg.norm_drift_limit:
@@ -270,10 +329,11 @@ def dense_oracle_compare(dec: Decomposition, s0: LadderState, t: float) -> float
     Chebyshev-series oracle on dec.h and the eigendecomposition dec."""
     if t <= 0:
         raise ValidationError("comparison time must be positive")
-    times = np.array([s0.time, s0.time + t])
+    cfg = PropagationConfig(t_end=t, sample_interval=t)
+    times = _sample_times(s0.time, cfg)
     banded, _ = _evolve_banded(dec.h, s0.amplitudes, times)
     p_banded = np.abs(banded[-1]) ** 2
-    p_dense = dec.populations(s0.amplitudes, times)[-1]
+    p_dense = dec.populations(s0.amplitudes, cfg)[-1]
     return float(np.abs(p_banded - p_dense).max())
 
 

@@ -28,14 +28,27 @@ from eladder.propagate import (
     _bessel_terms,
     _evolve_banded,
     _kept_modes,
+    _phase_table,
     _real_form,
+    _sample_grid,
     _sample_times,
     centroid_and_spread,
     decompose,
     dense_oracle_compare,
     propagate,
 )
-from eladder.scenario import InitialSpec, Scenario, run_scenario
+from eladder.figures import (
+    BRAGG_ENERGY_EV,
+    BRAGG_FIELD_V_NM,
+    BRAGG_PHOTON_EV,
+    _trap_scenario,
+)
+from eladder.scenario import (
+    InitialSpec,
+    Scenario,
+    decompose_scenario,
+    run_scenario,
+)
 
 from conftest import trap_scenario
 
@@ -259,9 +272,9 @@ class TestRealGauge:
         rng = np.random.default_rng(7)
         a0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         a0 /= np.linalg.norm(a0)
-        times = np.linspace(0.0, 5.0, 6)
-        ref = np.abs(complex_reference(h, a0, times)) ** 2
-        assert np.abs(decompose(h).populations(a0, times) - ref).max() < 1e-12
+        cfg = PropagationConfig(t_end=5.0, sample_interval=1.0)
+        ref = np.abs(complex_reference(h, a0, _sample_times(0.0, cfg))) ** 2
+        assert np.abs(decompose(h).populations(a0, cfg) - ref).max() < 1e-12
 
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=6, deadline=None)
@@ -306,11 +319,12 @@ class TestDecomposition:
         rng = np.random.default_rng(seed)
         h = trap_like_bands(rng, gauged)
         held = decompose(h)
-        times = np.linspace(0.0, float(rng.uniform(0.1, 20.0)), 9)
+        t_end = float(rng.uniform(0.1, 20.0))
+        cfg = PropagationConfig(t_end=t_end, sample_interval=t_end / 8)
         for kind in ("plane", "packet", "complex", "plane", "packet"):
             a0 = random_start(rng, kind, h.n_max).amplitudes
-            assert np.array_equal(held.populations(a0, times),
-                                  decompose(h).populations(a0, times))
+            assert np.array_equal(held.populations(a0, cfg),
+                                  decompose(h).populations(a0, cfg))
 
     def test_arrays_are_read_only(self, small_dec):
         for a in (small_dec.energies, small_dec.modes):
@@ -318,13 +332,11 @@ class TestDecomposition:
                 a[0] = 0.0
 
 
-def full_mode_reference(dec, a0, times):
+def full_mode_reference(dec, a0, cfg):
     """Populations rebuilt from every mode of the route's own
-    eigendecomposition."""
-    d = np.exp(1j * dec.theta * np.arange(dec.dim))
-    weights = dec.modes.conj().T @ (d.conj() * a0)
-    phases = np.exp(-1j * np.outer(dec.energies, times - times[0]) / HBAR)
-    return np.abs(dec.modes @ (phases * weights[:, None])).T ** 2
+    eigendecomposition, on the route's own phase table."""
+    table = _phase_table(dec.energies, start_weights(dec, a0), cfg)
+    return np.abs(table @ dec.modes.T) ** 2
 
 
 def start_weights(dec, a0):
@@ -334,22 +346,28 @@ def start_weights(dec, a0):
 
 def trap_like_bands(rng, gauged):
     """A random pentadiagonal ladder with a quadratic on-site term, so that
-    its modes are localized and a narrow start leaves most of them idle.
-    gauged bands share one phase per hop order; the others are generic."""
+    its modes are localized and a narrow start leaves most of them idle."""
     n_max = int(rng.integers(8, 65))
     dim = 2 * n_max + 1
     n = np.arange(-n_max, n_max + 1)
     diagonal = rng.uniform(0.02, 0.5) * n**2 + rng.uniform(-0.5, 0.5) * n
     hop_1 = rng.choice([-1.0, 1.0], dim - 1) * rng.uniform(0.2, 1.0, dim - 1)
     hop_2 = rng.choice([-1.0, 1.0], dim - 2) * rng.uniform(0.0, 0.1, dim - 2)
+    return phased_ladder(rng, gauged, diagonal, hop_1, hop_2)
+
+
+def phased_ladder(rng, gauged, diagonal, hop_1, hop_2):
+    """The ladder with random hop phases: gauged bands share one phase per
+    hop order; the others are generic."""
     if gauged:
         phi = rng.uniform(-math.pi, math.pi)
         hop_1 = hop_1 * np.exp(1j * phi)
         hop_2 = hop_2 * np.exp(2j * phi)
     else:
-        hop_1 = hop_1 * np.exp(1j * rng.uniform(-math.pi, math.pi, dim - 1))
-        hop_2 = hop_2 * np.exp(1j * rng.uniform(-math.pi, math.pi, dim - 2))
-    return LadderHamiltonian(n_max, diagonal, hop_1, hop_2, ModelVariant.full())
+        hop_1 = hop_1 * np.exp(1j * rng.uniform(-math.pi, math.pi, len(hop_1)))
+        hop_2 = hop_2 * np.exp(1j * rng.uniform(-math.pi, math.pi, len(hop_2)))
+    return LadderHamiltonian(len(diagonal) // 2, diagonal, hop_1, hop_2,
+                             ModelVariant.full())
 
 
 def random_start(rng, kind, n_max):
@@ -392,7 +410,7 @@ class TestModePruning:
         cfg = PropagationConfig(t_end=t_end, sample_interval=t_end / 8)
         dec = decompose(h)
         spec = propagate(dec, state, cfg)
-        ref = full_mode_reference(dec, state.amplitudes, spec.times)
+        ref = full_mode_reference(dec, state.amplitudes, cfg)
         assert np.abs(spec.populations - ref).max() <= self.POPULATION_BOUND
         assert spec.norm_drift_series.max() <= cfg.norm_drift_limit
 
@@ -402,9 +420,9 @@ class TestModePruning:
         a0 = dec.modes @ np.exp(1j * rng.uniform(-math.pi, math.pi, dec.dim))
         a0 /= np.linalg.norm(a0)
         assert _kept_modes(start_weights(dec, a0)).all()
-        times = np.linspace(0.0, 4.0, 9)
-        ref = full_mode_reference(dec, a0, times)
-        assert np.abs(dec.populations(a0, times) - ref).max() <= \
+        cfg = PropagationConfig(t_end=4.0, sample_interval=0.5)
+        ref = full_mode_reference(dec, a0, cfg)
+        assert np.abs(dec.populations(a0, cfg) - ref).max() <= \
             self.POPULATION_BOUND
 
     def test_readme_ladder_keeps_64_of_129_modes(self, trap_electron,
@@ -412,6 +430,124 @@ class TestModePruning:
         h = build_hamiltonian(trap_electron, trap_field, ModelVariant.full(), 64)
         a0 = initial_plane_wave(64).amplitudes
         assert _kept_modes(start_weights(decompose(h), a0)).sum() == 64
+
+
+def one_exponential_per_entry(dec, a0, cfg):
+    """Populations with one exponential per phase-table entry, at the grid
+    offsets j dt and, off the grid, t_end."""
+    weights = start_weights(dec, a0)
+    kept = _kept_modes(weights)
+    offsets = _sample_times(0.0, cfg)
+    phases = np.exp(-1j * np.outer(dec.energies[kept], offsets) / HBAR)
+    return np.abs(dec.modes[:, kept] @ (phases * weights[kept, None])).T ** 2
+
+
+def longdouble_reference(dec, a0, cfg):
+    """Populations from phases taken in np.longdouble and rounded once."""
+    weights = start_weights(dec, a0)
+    kept = _kept_modes(weights)
+    n, off_grid = _sample_grid(cfg)
+    dt = np.longdouble(cfg.sample_interval)
+    offsets = np.arange(n, dtype=np.longdouble) * dt
+    if off_grid:
+        offsets = np.append(offsets, np.longdouble(cfg.t_end))
+    angle = np.outer(offsets, dec.energies[kept].astype(np.longdouble))
+    angle /= np.longdouble(HBAR)
+    table = (np.cos(angle) - 1j * np.sin(angle)).astype(complex) * weights[kept]
+    return np.abs(table @ dec.modes[:, kept].T) ** 2
+
+
+def moderate_bands(rng, gauged):
+    """Random pentadiagonal bands of a few eV, so that one exponential per
+    entry stays a reference to well below 1e-12 over 30 fs."""
+    n_max = int(rng.integers(8, 25))
+    dim = 2 * n_max + 1
+    n = np.arange(-n_max, n_max + 1)
+    diagonal = rng.uniform(-3.0, 3.0, dim) + 0.01 * n**2
+    return phased_ladder(rng, gauged, diagonal, rng.uniform(0.2, 1.0, dim - 1),
+                         rng.uniform(0.0, 0.2, dim - 2))
+
+
+PRIMES = [p for p in range(2, 3002)
+          if all(p % q for q in range(2, math.isqrt(p) + 1))]
+# On-grid sample counts n around the block size b = ceil(sqrt(n)).
+ON_GRID_COUNTS = st.one_of(
+    st.just(2),
+    st.integers(1, 54).map(lambda r: r * r),
+    st.tuples(st.integers(2, 54), st.sampled_from([-1, 1])).map(
+        lambda s: s[0] ** 2 + s[1]),
+    st.sampled_from(PRIMES),
+)
+
+
+class TestPhaseTable:
+    """The phase table is built from block and offset factors, with about
+    2 sqrt(T) k exponentials for k kept modes."""
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1), ON_GRID_COUNTS,
+           st.booleans(), st.booleans(),
+           st.sampled_from(["plane", "packet", "complex"]),
+           st.sampled_from([0.0, 2.5, 1234.5678]))
+    @settings(max_examples=40, deadline=None)
+    def test_awkward_grids_match_one_exponential_per_entry(
+            self, seed, n, off_grid, gauged, kind, t0):
+        rng = np.random.default_rng(seed)
+        h = moderate_bands(rng, gauged)
+        assert np.iscomplexobj(_real_form(h)[1]) is not gauged
+        off_grid = off_grid or n == 1
+        dt = float(rng.uniform(1.0, 30.0)) / max(n - 1, 1)
+        t_end = (n - 1 + float(rng.uniform(0.1, 0.9)) * off_grid) * dt
+        cfg = PropagationConfig(t_end=t_end, sample_interval=dt)
+        assert _sample_grid(cfg) == (n, off_grid)
+        a0 = random_start(rng, kind, h.n_max).amplitudes
+        dec = decompose(h)
+
+        sizes = []
+        exp = np.exp
+
+        def counted_exp(x, *args, **kwargs):
+            sizes.append(np.size(x))
+            return exp(x, *args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np, "exp", counted_exp)
+            p = dec.populations(a0, cfg)
+        rows = n + off_grid
+        assert p.shape == (rows, dec.dim)
+        assert p.flags.c_contiguous and not p.flags.writeable
+        assert np.abs(p - one_exponential_per_entry(dec, a0, cfg)).max() < 1e-12
+
+        k = int(_kept_modes(start_weights(dec, a0)).sum())
+        assert max(sizes) <= max(dec.dim, k * (math.isqrt(rows) + 2))
+        assert sum(sizes) <= k * (2.0 * math.sqrt(rows) + 3.0) + dec.dim
+
+        spec = propagate(dec, LadderState(a0, t0, h.n_max), cfg)
+        assert spec.times[0] == t0 and len(spec.times) == rows
+        assert np.array_equal(spec.populations, p)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="longdouble is no wider than float64 here")
+class TestPhaseAccuracy:
+    """The largest phases of the presets: fig2b's 3500 fs Bragg run and
+    fig1d's 3001 samples, against phases taken in extended precision."""
+
+    @pytest.mark.parametrize("sc, samples", [
+        pytest.param(Scenario(
+            kinetic_energy=BRAGG_ENERGY_EV, amplitude=BRAGG_FIELD_V_NM,
+            photon_energy=BRAGG_PHOTON_EV, initial=InitialSpec(center=1),
+            propagation=PropagationConfig(t_end=3500.0, sample_interval=2.0),
+            n_max=12), 1751, id="fig2b"),
+        pytest.param(_trap_scenario(InitialSpec(), n_max=128, t_end=60.0,
+                                    sample=0.02), 3001, id="fig1d"),
+    ])
+    def test_within_1e_12_of_longdouble_phases(self, sc, samples):
+        dec = decompose_scenario(sc)
+        a0 = sc.initial.build(dec.n_max, sc.photon_energy).amplitudes
+        p = dec.populations(a0, sc.propagation)
+        assert len(p) == samples
+        ref = longdouble_reference(dec, a0, sc.propagation)
+        assert np.abs(p - ref).max() < 1e-12
 
 
 ROUTES = [pytest.param(eigensolve, id="dense"),
