@@ -32,6 +32,12 @@ from .scenario import (InitialSpec, Scenario, decompose_scenario,
                        run_scenario)
 
 PRESENCE_FLOOR = 1e-9
+BLOCH_PROMINENCE = 0.5       # of the per-side moment's largest value
+FRINGE_PROMINENCE = 2.0      # peak over its lower neighbour
+FRINGE_WING = 10             # sidebands inside a populated edge
+FRINGE_MINIMUM = 2           # maxima that make a fringe row
+TRANSFER_LEVEL = 0.5         # target population that counts a transfer
+TRANSFER_REARM = 0.35        # and the level the detector re-arms below
 
 RAMAN_NATH_LIMIT = 0.1
 BRAGG_LIMIT = 10.0
@@ -46,7 +52,6 @@ class TrapReport:
     n_min: int
     n_max: int
     threshold: float
-    window: tuple[float, float]  # fs
 
 
 @dataclass(frozen=True)
@@ -123,31 +128,15 @@ def _interp_extrema(times: np.ndarray, series: np.ndarray, kind: str) -> list[fl
     return out
 
 
-def _window_slice(spec: Spectrogram, window: tuple[float, float] | None):
-    if window is None:
-        return slice(None), (float(spec.times[0]), float(spec.times[-1]))
-    lo, hi = window
-    if hi <= lo:
-        raise ValidationError("window must have positive extent")
-    mask = (spec.times >= lo) & (spec.times <= hi)
-    if not mask.any():
-        raise ValidationError("window lies outside the sampled span")
-    idx = np.nonzero(mask)[0]
-    return slice(idx[0], idx[-1] + 1), (lo, hi)
-
-
 # --------------------------------------------------------------------------
 # observables
 
 def trap_width(
-    spec: Spectrogram,
-    threshold: float = POPULATION_THRESHOLD,
-    window: tuple[float, float] | None = None,
+    spec: Spectrogram, threshold: float = POPULATION_THRESHOLD
 ) -> TrapReport:
     """Energy span between the extreme sidebands whose max-over-time
-    population inside the window reaches the threshold."""
-    sl, win = _window_slice(spec, window)
-    envelope = spec.populations[sl].max(axis=0)
+    population reaches the threshold."""
+    envelope = spec.populations.max(axis=0)
     n = spec.sideband_indices
     hit = np.nonzero(envelope >= threshold)[0]
     photon = spec.metadata.get("photon_energy")
@@ -155,21 +144,20 @@ def trap_width(
         raise ValidationError("spectrogram metadata lacks photon_energy")
     if hit.size == 0:
         peak = int(n[int(np.argmax(envelope))])
-        return TrapReport(0.0, peak, peak, threshold, win)
+        return TrapReport(0.0, peak, peak, threshold)
     n_lo, n_hi = int(n[hit[0]]), int(n[hit[-1]])
-    return TrapReport((n_hi - n_lo) * photon, n_lo, n_hi, threshold, win)
+    return TrapReport((n_hi - n_lo) * photon, n_lo, n_hi, threshold)
 
 
-def asymmetry(
-    spec: Spectrogram, time: float, floor: float = PRESENCE_FLOOR
-) -> AsymmetryReport:
+def asymmetry(spec: Spectrogram, time: float) -> AsymmetryReport:
     """Peak-position difference between the absorption and emission sides
     at the sample nearest to `time`."""
     i = int(np.argmin(np.abs(spec.times - time)))
     row = spec.populations[i]
     n = spec.sideband_indices
     pos, neg = n > 0, n < 0
-    if row[pos].max(initial=0.0) < floor or row[neg].max(initial=0.0) < floor:
+    if (row[pos].max(initial=0.0) < PRESENCE_FLOOR
+            or row[neg].max(initial=0.0) < PRESENCE_FLOOR):
         return AsymmetryReport(None, float(spec.times[i]))
     n_pos = int(n[pos][np.argmax(row[pos])])
     n_neg = int(n[neg][np.argmax(row[neg])])
@@ -207,18 +195,15 @@ def classify_regime(cs: CouplingSet) -> RegimeLabel:
     return RegimeLabel(cs.nath_rho, _label_for(cs.nath_rho))
 
 
-def bloch_oscillation_report(
-    spec: Spectrogram,
-    threshold: float = POPULATION_THRESHOLD,
-    prominence: float = 0.5,
-) -> BlochReport:
+def bloch_oscillation_report(spec: Spectrogram) -> BlochReport:
     """Per-side oscillation periods and maximal excursions under a linear
     on-site slope.
 
     The per-side envelope observable is the unnormalized first moment
     M+-(t) = sum over the side of |n| P_n(t); its prominent maxima (above
-    `prominence` of the series max) time the oscillation.  A run without
-    detuning has no such oscillation and is rejected.
+    BLOCH_PROMINENCE of the series max) time the oscillation, and the
+    excursion is the outermost sideband reaching POPULATION_THRESHOLD.  A
+    run without detuning has no such oscillation and is rejected.
     """
     detuning = spec.metadata.get("detuning")
     if detuning is not None and detuning == 0.0:
@@ -238,7 +223,8 @@ def bloch_oscillation_report(
         dt = float(spec.times[1] - spec.times[0])
         prominent = [
             t for t in peaks
-            if moment[int(round((t - spec.times[0]) / dt))] > prominence * top
+            if moment[int(round((t - spec.times[0]) / dt))]
+            > BLOCH_PROMINENCE * top
         ]
         if len(prominent) < 2:
             raise InsufficientSpanError(
@@ -247,7 +233,7 @@ def bloch_oscillation_report(
             )
         periods[name] = float(np.mean(np.diff(prominent)))
         envelope = p[:, mask].max(axis=0)
-        hit = np.abs(n[mask])[envelope >= threshold]
+        hit = np.abs(n[mask])[envelope >= POPULATION_THRESHOLD]
         extents[name] = int(hit.max()) if hit.size else 0
     return BlochReport(
         period_absorption=periods["absorption"],
@@ -257,86 +243,85 @@ def bloch_oscillation_report(
     )
 
 
-def fringe_count_in_row(
-    row: np.ndarray,
-    n: np.ndarray,
-    threshold: float = POPULATION_THRESHOLD,
-    prominence: float = 2.0,
-    wing: int = 10,
-) -> int:
-    """Count interference maxima within `wing` sidebands of the populated
-    edges of one spectrum row, excluding the central site."""
-    populated = n[row >= threshold]
+def fringe_count_in_row(row: np.ndarray, n: np.ndarray) -> int:
+    """Count interference maxima within FRINGE_WING sidebands of the
+    populated edges of one spectrum row, excluding the central site.  A
+    maximum counts when it reaches POPULATION_THRESHOLD and stands
+    FRINGE_PROMINENCE times above its lower neighbour."""
+    populated = n[row >= POPULATION_THRESHOLD]
     if populated.size == 0:
         return 0
     best = 0
     half = (len(row) - 1) // 2
     for edge, sign in ((int(populated.max()), +1), (int(populated.min()), -1)):
         if sign > 0:
-            lo, hi = max(edge - wing, 1), edge
+            lo, hi = max(edge - FRINGE_WING, 1), edge
         else:
-            lo, hi = edge, min(edge + wing, -1)
+            lo, hi = edge, min(edge + FRINGE_WING, -1)
         count = 0
         for k in range(lo + 1, hi):
             i = k + half
-            if row[i] >= threshold and row[i] > row[i - 1] and row[i] > row[i + 1]:
+            if (row[i] >= POPULATION_THRESHOLD
+                    and row[i] > row[i - 1] and row[i] > row[i + 1]):
                 shoulder = min(row[i - 1], row[i + 1])
-                if shoulder <= 0 or row[i] / shoulder >= prominence:
+                if shoulder <= 0 or row[i] / shoulder >= FRINGE_PROMINENCE:
                     count += 1
         best = max(best, count)
     return best
 
 
-def fringe_check(
-    spec: Spectrogram,
-    threshold: float = POPULATION_THRESHOLD,
-    prominence: float = 2.0,
-    wing: int = 10,
-    minimum: int = 2,
-) -> FringeReport:
-    """Scan the run for edge fringes: `minimum` or more interference maxima
-    near a populated edge."""
+def fringe_check(spec: Spectrogram) -> FringeReport:
+    """Scan the run for edge fringes: FRINGE_MINIMUM or more interference
+    maxima near a populated edge (see fringe_count_in_row)."""
     n = spec.sideband_indices
     first: float | None = None
     best = 0
     for i, t in enumerate(spec.times):
-        c = fringe_count_in_row(spec.populations[i], n, threshold, prominence, wing)
+        c = fringe_count_in_row(spec.populations[i], n)
         best = max(best, c)
-        if c >= minimum and first is None:
+        if c >= FRINGE_MINIMUM and first is None:
             first = float(t)
     return FringeReport(found=first is not None, first_time=first, max_count=best)
+
+
+def _column(n: np.ndarray, site: int) -> int:
+    """Array column of sideband `site`."""
+    hit = np.nonzero(n == site)[0]
+    if hit.size == 0:
+        raise ValidationError(
+            f"sideband {site} lies outside the lattice "
+            f"({int(n[0])}..{int(n[-1])})")
+    return int(hit[0])
 
 
 def population_transfer(
     spec: Spectrogram,
     target: int,
     pair: tuple[int, int] | None = None,
-    level: float = 0.5,
-    rearm: float = 0.35,
-    smooth_time: float | None = None,
 ) -> TransferReport:
     """Time the periodic population exchange onto `target`.
 
-    The target population is boxcar-smoothed (window `smooth_time`, by
-    default three beat periods 2 pi hbar / (E_1 - E_0) estimated from the
-    diagonal curvature in the metadata) and each upward crossing of `level`
-    marks one transfer; the detector re-arms when the smoothed series falls
-    below `rearm`.  Crossing times are refined by linear interpolation.
+    The target population is boxcar-smoothed over three beat periods
+    2 pi hbar / (E_1 - E_0), estimated from the diagonal curvature in the
+    metadata, and each upward crossing of TRANSFER_LEVEL marks one
+    transfer; the detector re-arms when the smoothed series falls below
+    TRANSFER_REARM.  Crossing times are refined by linear interpolation.
     `pair`, when given, also reports the worst-case population leak outside
-    those two sites.
+    those two sites.  A site off the lattice raises ValidationError.
     """
     n = spec.sideband_indices
-    col = int(np.nonzero(n == target)[0][0])
-    series = spec.populations[:, col]
+    series = spec.populations[:, _column(n, target)]
+    leak = 0.0
+    if pair is not None:
+        kept = spec.populations[:, [_column(n, m) for m in pair]].sum(axis=1)
+        leak = float((1.0 - kept).max())
     dt = float(spec.times[1] - spec.times[0])
 
-    if smooth_time is None:
-        curvature = spec.metadata.get("beta")
-        if curvature is None or curvature <= 0:
-            raise ValidationError(
-                "smoothing window not given and metadata lacks a usable beta"
-            )
-        smooth_time = 3.0 * 2.0 * math.pi * HBAR / curvature
+    curvature = spec.metadata.get("beta")
+    if curvature is None or curvature <= 0:
+        raise ValidationError(
+            "metadata lacks a usable beta for the smoothing window")
+    smooth_time = 3.0 * 2.0 * math.pi * HBAR / curvature
     width = max(3, int(round(smooth_time / dt)))
     kernel = np.ones(width) / width
     smooth = np.convolve(series, kernel, mode="same")
@@ -344,18 +329,13 @@ def population_transfer(
     crossings: list[float] = []
     armed = True
     for i in range(1, len(smooth)):
-        if armed and smooth[i - 1] < level <= smooth[i]:
-            frac = (level - smooth[i - 1]) / (smooth[i] - smooth[i - 1])
+        if armed and smooth[i - 1] < TRANSFER_LEVEL <= smooth[i]:
+            frac = ((TRANSFER_LEVEL - smooth[i - 1])
+                    / (smooth[i] - smooth[i - 1]))
             crossings.append(float(spec.times[i - 1] + frac * dt))
             armed = False
-        elif not armed and smooth[i] < rearm:
+        elif not armed and smooth[i] < TRANSFER_REARM:
             armed = True
-
-    leak = 0.0
-    if pair is not None:
-        cols = [int(np.nonzero(n == m)[0][0]) for m in pair]
-        kept = spec.populations[:, cols].sum(axis=1)
-        leak = float((1.0 - kept).max())
 
     periods = tuple(float(b - a) for a, b in zip(crossings, crossings[1:]))
     return TransferReport(tuple(crossings), periods, leak)
@@ -399,12 +379,12 @@ def _scenario_at(base: Scenario, axis: str, value: float) -> Scenario:
     raise ValidationError(f"unknown sweep axis {axis!r}")
 
 
-def _auto_sized(sc: Scenario, cycles: float = 2.0) -> Scenario:
-    """Give a sweep point a time span of a fixed number of confinement
-    cycles and let the lattice size follow the trap extent."""
+def _auto_sized(sc: Scenario) -> Scenario:
+    """Give a sweep point a time span of two confinement cycles and let the
+    lattice size follow the trap extent."""
     e = electron_from_energy(sc.kinetic_energy)
     cs = coupling_set(e, sc.field())
-    span = cycles * trap_cycle_estimate(cs.beta, cs.kappa_mag)
+    span = 2.0 * trap_cycle_estimate(cs.beta, cs.kappa_mag)
     cfg = replace(sc.propagation, t_end=span, sample_interval=span / 400.0)
     edge = separatrix_edge(cs.beta, cs.kappa_mag)
     margin = abs(sc.initial.center) + 8

@@ -23,6 +23,8 @@ import numpy as np
 from ._version import __version__
 from .constants import HBAR
 from .analysis import (
+    SWEEP_AXES,
+    SWEEP_OBSERVABLES,
     asymmetry,
     classify_regime,
     collapse_times,
@@ -99,7 +101,8 @@ def cmd_simulate(args) -> int:
 
 
 def _parse_grid(text: str) -> np.ndarray:
-    """Grid syntax: comma list, or start:stop:count, or start:stop:count:log."""
+    """Grid syntax: comma list, or start:stop:count, or start:stop:count:log.
+    Every value must be finite."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) not in (3, 4):
@@ -110,17 +113,23 @@ def _parse_grid(text: str) -> np.ndarray:
             raise ConfigError(f"bad grid {text!r}") from None
         if count < 1:
             raise ConfigError("grid count must be >= 1")
+        spacing = np.linspace
         if len(parts) == 4:
             if parts[3] != "log":
                 raise ConfigError(f"bad grid suffix {parts[3]!r}")
             if start <= 0 or stop <= 0:
                 raise ConfigError("log grid needs positive endpoints")
-            return np.geomspace(start, stop, count)
-        return np.linspace(start, stop, count)
-    try:
-        return np.array([float(v) for v in text.split(",")], dtype=float)
-    except ValueError:
-        raise ConfigError(f"bad grid {text!r}") from None
+            spacing = np.geomspace
+        with np.errstate(all="ignore"):  # a non-finite value fails below
+            grid = spacing(start, stop, count)
+    else:
+        try:
+            grid = np.array([float(v) for v in text.split(",")], dtype=float)
+        except ValueError:
+            raise ConfigError(f"bad grid {text!r}") from None
+    if not np.isfinite(grid).all():
+        raise ConfigError(f"bad grid {text!r}; values must be finite")
+    return grid
 
 
 def cmd_sweep(args) -> int:
@@ -259,11 +268,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="scan one parameter axis")
     p.add_argument("config", help="base configuration")
     p.add_argument("--axis", required=True,
-                   choices=["energy", "field", "phase", "photon_energy"])
+                   choices=SWEEP_AXES)
     p.add_argument("--grid", required=True,
                    help="comma list or start:stop:count[:log]")
     p.add_argument("--observable", required=True,
-                   choices=["trap_width", "revival_period", "rho"])
+                   choices=SWEEP_OBSERVABLES)
     p.add_argument("--out", required=True, help="table file to write")
     p.set_defaults(func=cmd_sweep)
 

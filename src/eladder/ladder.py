@@ -236,7 +236,7 @@ class LadderState:
         if self.amplitudes.shape != (2 * self.n_max + 1,):
             raise ValidationError("amplitude vector has wrong length")
         norm = float(np.sum(np.abs(self.amplitudes) ** 2))
-        if abs(norm - 1.0) > NORM_TOLERANCE:
+        if not (abs(norm - 1.0) <= NORM_TOLERANCE):
             raise ValidationError(
                 f"state norm {norm!r} deviates from 1 beyond {NORM_TOLERANCE}"
             )
@@ -324,12 +324,12 @@ def _embed(state: LadderState, n_max: int) -> LadderState:
     return LadderState(a / np.linalg.norm(a), state.time, n_max)
 
 
-def _support_n(state: LadderState, floor: float = TAIL_GUARD) -> int:
-    """Smallest half-width whose exterior holds less than `floor` mass."""
+def _support_n(state: LadderState) -> int:
+    """Smallest half-width whose exterior holds less than TAIL_GUARD mass."""
     pops = state.populations()
     n = np.abs(np.arange(-state.n_max, state.n_max + 1))
     for cand in range(1, state.n_max + 1):
-        if float(pops[n >= cand].sum()) < floor:
+        if float(pops[n >= cand].sum()) < TAIL_GUARD:
             return cand
     return state.n_max
 
@@ -351,30 +351,28 @@ def adaptive_truncation(
     variant: ModelVariant,
     state: LadderState,
     t_max: float,
-    start: int = TRUNCATION_START,
     hard_cap: int = TRUNCATION_CAP,
-    guard: float = TAIL_GUARD,
 ) -> Decomposition:
     """Find a lattice half-width that keeps the population of the outer two
-    sites below `guard` up to the time horizon, and return the decomposition
-    of the Hamiltonian on it; its n_max is the size.
+    sites below TAIL_GUARD up to the time horizon, and return the
+    decomposition of the Hamiltonian on it; its n_max is the size.
 
     No size is below the support of the initial state: two sites beyond its
-    `guard` mass, and wide enough that its edge amplitudes pass the rule of
-    initial_gaussian.  With no field the dynamics is diagonal, so the answer
-    is that support; otherwise the search tries max(start, support),
-    doubling, and returns the first size that passes a trial evolution
-    sampled along the horizon.  A failed trial's decomposition is dropped
-    before the next one is made.  Any size above hard_cap raises
-    ResourceLimitError.
+    TAIL_GUARD mass, and wide enough that its edge amplitudes pass the rule
+    of initial_gaussian.  With no field the dynamics is diagonal, so the
+    answer is that support; otherwise the search tries
+    max(TRUNCATION_START, support), doubling, and returns the first size
+    that passes a trial evolution sampled along the horizon.  A failed
+    trial's decomposition is dropped before the next one is made.  Any size
+    above hard_cap raises ResourceLimitError.
     """
     from .propagate import PropagationConfig, decompose, propagate  # avoids cycle
 
     if t_max <= 0:
         raise ValidationError("time horizon must be positive")
-    n_try = max(_support_n(state, guard) + 2, _edge_n(state))
+    n_try = max(_support_n(state) + 2, _edge_n(state))
     if f.amplitude != 0.0:
-        n_try = max(start, n_try)
+        n_try = max(TRUNCATION_START, n_try)
     while True:
         if n_try > hard_cap:
             raise ResourceLimitError(
@@ -388,7 +386,7 @@ def adaptive_truncation(
         spec = propagate(dec, trial, cfg)
         n_abs = np.abs(dec.h.indices())
         tail = spec.populations[:, n_abs >= n_try - 2].sum(axis=1)
-        if float(tail.max()) < guard:
+        if float(tail.max()) < TAIL_GUARD:
             return dec
         del dec
         n_try *= 2

@@ -95,11 +95,6 @@ class FieldParams:
             raise ValidationError("photon energy and wavevector must be positive")
         object.__setattr__(self, "initial_phase", wrap_phase(self.initial_phase))
 
-    @property
-    def grating_period(self) -> float:
-        """Spatial period 2 pi / k_z of the phase-matching structure, nm."""
-        return TWO_PI / self.wavevector
-
 
 @dataclass(frozen=True)
 class CouplingSet:

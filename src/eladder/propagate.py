@@ -300,7 +300,7 @@ def propagate(
     populations = dec.populations(s0.amplitudes, cfg)
     drift = np.abs(populations.sum(axis=1) - 1.0)
     worst = float(drift.max())
-    if worst > cfg.norm_drift_limit:
+    if not (worst <= cfg.norm_drift_limit):
         raise IntegrationError(
             f"norm drift {worst:.3e} exceeds the limit {cfg.norm_drift_limit:.1e}"
         )
@@ -352,17 +352,16 @@ class MomentSeries:
             a.setflags(write=False)
 
 
-def centroid_and_spread(spec: Spectrogram,
-                        threshold: float = POPULATION_THRESHOLD) -> MomentSeries:
+def centroid_and_spread(spec: Spectrogram) -> MomentSeries:
     """Per-sample centroid <n>, variance <n^2>-<n>^2, and the extreme
-    sideband indices whose population reaches `threshold` (falling back to
-    the argmax when nothing does)."""
+    sideband indices whose population reaches POPULATION_THRESHOLD (falling
+    back to the argmax when nothing does)."""
     index = spec.sideband_indices
     n = index.astype(float)
     p = spec.populations
     centroid = p @ n
     variance = p @ n**2 - centroid**2
-    above = p >= threshold
+    above = p >= POPULATION_THRESHOLD
     hit = above.any(axis=1)
     peak = np.argmax(p, axis=1)
     first = np.where(hit, np.argmax(above, axis=1), peak)

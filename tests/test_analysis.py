@@ -99,18 +99,6 @@ class TestTrapWidth:
         w = [trap_width(spec, threshold=th).width for th in (1e-4, 1e-3, 1e-2)]
         assert w[0] >= w[1] >= w[2] > 0.0
 
-    def test_window_narrowing(self, plane_run):
-        spec = plane_run.spec
-        early = trap_width(spec, window=(0.0, 10.0))
-        assert early.window == (0.0, 10.0)
-        assert early.width <= trap_width(spec).width
-
-    def test_window_validation(self, plane_run):
-        with pytest.raises(ValidationError):
-            trap_width(plane_run.spec, window=(5.0, 5.0))
-        with pytest.raises(ValidationError):
-            trap_width(plane_run.spec, window=(100.0, 200.0))
-
     def test_missing_photon_metadata(self):
         spec = make_spec([0.0, 1.0], [[0.0, 1.0, 0.0]] * 2)
         with pytest.raises(ValidationError, match="photon_energy"):
@@ -218,10 +206,6 @@ class TestFringes:
         assert rep.first_time is None
         assert rep.max_count == 0
 
-    def test_higher_minimum_pushes_detection_out(self, packet_run):
-        rep = fringe_check(packet_run.spec, minimum=10)
-        assert not rep.found
-
 
 class TestPopulationTransfer:
     def test_bragg_exchange_timing(self, bragg_run):
@@ -242,6 +226,13 @@ class TestPopulationTransfer:
         spec = make_spec([0.0, 1.0, 2.0], [[0.0, 0.0, 1.0, 0.0, 0.0]] * 3)
         with pytest.raises(ValidationError, match="beta"):
             population_transfer(spec, target=1)
+
+    @pytest.mark.parametrize("target,pair", [(3, None), (-1, (1, -3))])
+    def test_site_off_the_lattice(self, target, pair):
+        spec = make_spec([0.0, 1.0, 2.0], [[0.0, 0.0, 1.0, 0.0, 0.0]] * 3,
+                         {"beta": 1.0})
+        with pytest.raises(ValidationError, match=r"sideband -?3 lies outside"):
+            population_transfer(spec, target=target, pair=pair)
 
 
 @pytest.fixture(scope="module")

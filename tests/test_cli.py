@@ -10,6 +10,7 @@ import pytest
 
 import eladder
 from eladder import cli, scenario
+from eladder.analysis import SWEEP_AXES, SWEEP_OBSERVABLES
 from eladder.cli import main
 from eladder.errors import (
     ConfigError,
@@ -199,6 +200,21 @@ class TestExitCodes:
                      "--out", str(tmp_path / "t.csv")])
         assert code == 2
 
+    @pytest.mark.parametrize("grid", ["nan", "inf", "0.5,nan", "0:inf:3",
+                                      "nan:1:2:log", "-1e308:1e308:3"])
+    def test_non_finite_grid_is_2(self, grid, tmp_path, capsys):
+        path = tmp_path / "packet.cfg"
+        path.write_text(CHEAP.replace("truncation.n_max = 16\n", "")
+                        + "initial.mode = gaussian\ninitial.width = 7.5 eV\n")
+        out = tmp_path / "t.csv"
+        code = main(["sweep", str(path), "--axis", "phase", f"--grid={grid}",
+                     "--observable", "trap_width", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: category=validation bad grid ")
+        assert not out.exists()
+
 
     NON_FINITE = [
         ("electron.energy", "nan eV"),
@@ -285,6 +301,13 @@ class TestSweep:
         assert "nan" in body
         assert "positive" in body
         assert "(2 rows, 1 failed)" in capsys.readouterr().out
+
+    def test_choices_are_the_analysis_tuples(self):
+        sub = next(a for a in cli.build_parser()._actions
+                   if a.dest == "command")
+        choices = {a.dest: a.choices for a in sub.choices["sweep"]._actions}
+        assert choices["axis"] == SWEEP_AXES
+        assert choices["observable"] == SWEEP_OBSERVABLES
 
 
 class TestClassify:

@@ -214,6 +214,12 @@ class TestStates:
         with pytest.raises(ValidationError):
             LadderState(bad, 0.0, 2)
 
+    def test_nan_amplitude_is_rejected(self):
+        bad = np.zeros(5, dtype=complex)
+        bad[2] = complex("nan")
+        with pytest.raises(ValidationError, match="norm nan"):
+            LadderState(bad, 0.0, 2)
+
 
 class TestTruncation:
     def test_trap_drive_auto_size(self, trap_electron, trap_field):
@@ -244,11 +250,15 @@ class TestTruncation:
         # diagonal dynamics: support of the start plus the safety margin
         assert n < 32
 
-    def test_cap_is_enforced(self, trap_electron, trap_field):
-        with pytest.raises(ResourceLimitError):
-            adaptive_truncation(trap_electron, trap_field,
+    def test_cap_is_enforced(self, eigh_calls):
+        # The simulate_wide couplings fail the tail guard at 64, 128 and 256
+        # and pass at 512, so a cap of 256 is reached after three trials.
+        e = electron_from_energy(200.0)
+        with pytest.raises(ResourceLimitError, match="cap of 256"):
+            adaptive_truncation(e, matched_field(e, 4.0, 0.8),
                                 ModelVariant.full(), initial_plane_wave(1),
-                                60.0, start=8, hard_cap=16)
+                                60.0, hard_cap=256)
+        assert eigh_calls == [129, 257, 513]
 
     def test_cap_is_enforced_without_a_field(self, trap_electron):
         f = matched_field(trap_electron, 0.0, 1.54)

@@ -115,11 +115,9 @@ class TestFieldParams:
         assert math.remainder(w - phi, 2.0 * math.pi) == pytest.approx(
             0.0, abs=1e-9)
 
-    def test_angular_frequency_and_period(self):
+    def test_angular_frequency(self):
         f = make_field(1.0, 1.54, 0.5)
         assert f.angular_frequency == pytest.approx(1.54 / HBAR, rel=1e-15)
-        assert f.grating_period == pytest.approx(2.0 * math.pi / 0.5,
-                                                 rel=1e-15)
 
     def test_rejects_bad_field(self):
         with pytest.raises(ValidationError):

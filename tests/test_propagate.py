@@ -646,7 +646,7 @@ def handmade_spectrogram():
 class TestMoments:
     def test_centroid_variance_and_edges(self):
         spec = handmade_spectrogram()
-        m = centroid_and_spread(spec, threshold=1e-3)
+        m = centroid_and_spread(spec)
         n = np.arange(-2, 3, dtype=float)
         for i in range(3):
             assert np.isclose(m.centroid[i], spec.populations[i] @ n, rtol=1e-12)
@@ -656,7 +656,7 @@ class TestMoments:
         assert (m.n_low[1], m.n_high[1]) == (1, 1)
 
     def test_edge_fallback_uses_argmax(self):
-        m = centroid_and_spread(handmade_spectrogram(), threshold=1e-3)
+        m = centroid_and_spread(handmade_spectrogram())
         assert m.n_low[2] == m.n_high[2] == -1
 
     def test_moment_arrays_read_only(self):
