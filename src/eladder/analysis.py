@@ -438,9 +438,11 @@ def sweep_starts(
     error goes into each of the lattice's rows.  A point whose widest
     lattice exceeds the base's truncation_cap fails for every start.
 
-    Per-point failures are recorded in the row and the sweep continues; if
-    every point of a start fails, SweepError carries that start's first
-    message.  No decomposition is kept after the call returns.
+    An empty grid or a non-finite grid value raises ValidationError before
+    any point runs.  Per-point failures are recorded in the row and the
+    sweep continues; if every point of a start fails, SweepError carries
+    that start's first message.  No decomposition is kept after the call
+    returns.
     """
     if axis not in SWEEP_AXES:
         raise ValidationError(f"axis must be one of {SWEEP_AXES}")
@@ -449,6 +451,8 @@ def sweep_starts(
     values = [float(v) for v in grid]
     if not values:
         raise ValidationError("sweep grid is empty")
+    if not all(map(math.isfinite, values)):
+        raise ValidationError("every sweep grid value must be finite")
 
     columns: list[list[SweepRow]] = [[] for _ in starts]
     lattice = dec = None

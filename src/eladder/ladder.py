@@ -158,27 +158,19 @@ class LadderHamiltonian:
         """Expand the bands into a full complex matrix."""
         return band_matrix(self.diagonal, self.hop_1, self.hop_2)
 
-    def apply(self, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Banded matrix-vector product H @ a."""
-        if out is None:
-            out = np.empty_like(a)
-        np.multiply(self.diagonal, a, out)
-        out[:-1] += self.hop_1 * a[1:]
-        out[1:] += np.conj(self.hop_1) * a[:-1]
-        out[:-2] += self.hop_2 * a[2:]
-        out[2:] += np.conj(self.hop_2) * a[:-2]
-        return out
-
-    def spectral_bound(self) -> float:
-        """Gershgorin bound on the spectral radius, eV."""
-        r = np.abs(self.diagonal).astype(float)
+    def spectral_interval(self) -> tuple[float, float]:
+        """Gershgorin interval (lo, hi), eV: every eigenvalue lies in
+        [min(d_i - r_i), max(d_i + r_i)], r_i the summed off-diagonal
+        magnitudes of row i."""
+        r = np.zeros(self.dim)
         h1 = np.abs(self.hop_1)
         r[:-1] += h1
         r[1:] += h1
         h2 = np.abs(self.hop_2)
         r[:-2] += h2
         r[2:] += h2
-        return float(r.max())
+        return (float((self.diagonal - r).min()),
+                float((self.diagonal + r).max()))
 
 
 def build_hamiltonian(
@@ -271,6 +263,8 @@ def initial_gaussian(
     amplitude at the lattice edge must not exceed EDGE_AMPLITUDE of the
     peak, otherwise a TruncationError suggests enlarging n_max.
     """
+    if not all(map(math.isfinite, (width_sidebands, chirp, offset_phase))):
+        raise ValidationError("width, chirp and offset phase must be finite")
     if width_sidebands <= 0:
         raise ValidationError("width must be positive")
     n = np.arange(-n_max, n_max + 1, dtype=float)

@@ -270,6 +270,13 @@ class TestSweep:
         with pytest.raises(ValidationError):
             sweep("energy", [], base, "rho")
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_grid_value_is_rejected(self, base, value):
+        with pytest.raises(ValidationError, match="finite"):
+            sweep("energy", [100.0, value], base, "rho")
+        with pytest.raises(ValidationError, match="finite"):
+            sweep_starts("field", [value], base, [base.initial], "rho")
+
 
 class TestPhaseSweep:
     """Phase points keep the base Hamiltonian and move the start's linear
@@ -302,6 +309,12 @@ class TestPhaseSweep:
         rows = sweep("phase", self.GRID, packet_base, "revival_period")
         for row, spec in zip(rows, per_point):
             assert row.result == pytest.approx(revival_period(spec), rel=1e-9)
+
+    def test_non_finite_phase_is_rejected_before_any_start_is_built(
+            self, packet_base):
+        # a NaN phase would reach initial_gaussian as the offset phase
+        with pytest.raises(ValidationError, match="finite"):
+            sweep("phase", [0.0, math.nan], packet_base, "trap_width")
 
     def test_fig3c_grid_is_solved_once(self, tmp_path, eigh_calls):
         make_figure("fig3c", tmp_path)

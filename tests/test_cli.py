@@ -330,7 +330,7 @@ BRAGG_AUTO_0 = (BRAGG.replace("initial.center = 1", "initial.center = 0")
                 .replace("truncation.n_max = 12\n", ""))
 BRAGG_AUTO_0_LINES = [
     r"PASS bessel: max population error \S+ over 67.4 fs \(limit 1e-06\)",
-    r"PASS stepper: max population difference 1\.785e-08 at 20 fs "
+    r"PASS stepper: max population difference 8\.161e-10 at 20 fs "
     r"\(limit 1e-06\)",
     r"PASS two-level: period 1371 fs vs 1362 fs \(0\.7% off, limit 15%\)",
     r"PASS norm: max drift \S+ \(limit 1\.0e-08\)",
@@ -419,14 +419,26 @@ class TestVersion:
         assert re.fullmatch(r"\d+\.\d+\.\d+", capsys.readouterr().out.strip())
 
 
-def test_cli_import_loads_no_scipy():
-    """scipy bundles its own OpenBLAS; loading it next to numpy's makes two
-    thread pools compete for the same cores."""
+def source_env():
+    """The environment with this package's source directory on PYTHONPATH."""
     src = str(Path(eladder.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_module_runs_the_command_line():
+    done = subprocess.run([sys.executable, "-m", "eladder", "--help"],
+                          env=source_env(), capture_output=True, text=True)
+    assert done.returncode == 0
+    assert done.stdout.startswith("usage: eladder")
+
+
+def test_cli_import_loads_no_scipy():
+    """scipy bundles its own OpenBLAS; loading it next to numpy's makes two
+    thread pools compete for the same cores."""
     probe = ("import sys, eladder.cli; "
              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    done = subprocess.run([sys.executable, "-c", probe], env=env,
+    done = subprocess.run([sys.executable, "-c", probe], env=source_env(),
                           capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "[]"

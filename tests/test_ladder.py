@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import eigh
 
 from eladder import (
     ModelVariant,
@@ -152,23 +151,25 @@ class TestBuild:
 
 
 class TestOperator:
-    def test_apply_matches_dense_matvec(self, trap_electron, trap_field):
-        h = build_hamiltonian(trap_electron, trap_field,
-                              ModelVariant.full(), 16)
-        rng = np.random.default_rng(7)
-        dense = h.to_dense()
-        for _ in range(5):
-            v = rng.normal(size=h.dim) + 1j * rng.normal(size=h.dim)
-            out = np.empty_like(v)
-            h.apply(v, out)
-            assert np.abs(out - dense @ v).max() < 1e-13 * np.abs(v).max()
-
-    def test_spectral_bound_dominates_spectrum(self, trap_electron,
-                                               trap_field):
-        h = build_hamiltonian(trap_electron, trap_field,
-                              ModelVariant.full(), 24)
-        energies = eigh(h.to_dense(), eigvals_only=True)
-        assert h.spectral_bound() >= np.abs(energies).max()
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=50, deadline=None)
+    def test_spectral_interval_contains_the_spectrum(self, seed):
+        rng = np.random.default_rng(seed)
+        n_max = int(rng.integers(1, 33))
+        dim = 2 * n_max + 1
+        # each band zero or of its own scale; the offset makes the
+        # spectrum one-sided
+        s0, s1, s2 = rng.choice([0.0, 1.0], 3) * 10.0 ** rng.uniform(-3, 2, 3)
+        diagonal = rng.uniform(-1e3, 1e3) + s0 * rng.normal(size=dim)
+        hop_1 = s1 * (rng.normal(size=dim - 1) + 1j * rng.normal(size=dim - 1))
+        hop_2 = s2 * (rng.normal(size=dim - 2) + 1j * rng.normal(size=dim - 2))
+        h = LadderHamiltonian(n_max, diagonal, hop_1, hop_2,
+                              ModelVariant.full())
+        energies = np.linalg.eigvalsh(h.to_dense())
+        lo, hi = h.spectral_interval()
+        slack = 1e-12 * max(abs(lo), abs(hi))
+        assert lo - slack <= energies[0]
+        assert energies[-1] <= hi + slack
 
     def test_band_shapes_validated(self):
         with pytest.raises(ValidationError):
@@ -193,6 +194,14 @@ class TestStates:
         assert float(p @ n) == pytest.approx(4.0, abs=1e-9)
         sig = math.sqrt(float(p @ (n - 4.0) ** 2))
         assert sig == pytest.approx(3.0, rel=1e-3)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["width_sidebands", "chirp",
+                                      "offset_phase"])
+    def test_gaussian_rejects_non_finite_parameters(self, name, value):
+        kwargs = {"width_sidebands": 3.0, name: value}
+        with pytest.raises(ValidationError, match="finite"):
+            initial_gaussian(48, **kwargs)
 
     def test_gaussian_needs_room(self):
         with pytest.raises(TruncationError):

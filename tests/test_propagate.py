@@ -156,6 +156,44 @@ class TestRoutes:
             dense_oracle_compare(small_dec, small_state, 0.0)
 
 
+def random_amplitudes(rng, dim):
+    a = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return a / np.linalg.norm(a)
+
+
+class TestOracleInterval:
+    """The series runs on the centred Gershgorin interval and puts the
+    centre back as one phase factor per span."""
+
+    def test_amplitudes_match_the_exact_propagator(self, small_h):
+        a0 = random_amplitudes(np.random.default_rng(5), small_h.dim)
+        times = np.array([0.0, 2.5, 6.0])
+        amplitudes, _ = _evolve_banded(small_h, a0, times)
+        energies, modes = np.linalg.eigh(small_h.to_dense())
+        weights = modes.conj().T @ a0
+        for t, a in zip(times, amplitudes):
+            exact = modes @ (np.exp(-1j * energies * t / HBAR) * weights)
+            assert np.abs(a - exact).max() < 1e-9
+
+    @given(st.floats(min_value=-100.0, max_value=100.0),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_diagonal_shift_moves_neither_populations_nor_terms(
+            self, small_h, shift, seed):
+        # a symmetric interval [-R, R] would grow with |shift|, and the
+        # series with it
+        a0 = random_amplitudes(np.random.default_rng(seed), small_h.dim)
+        moved = LadderHamiltonian(small_h.n_max, small_h.diagonal + shift,
+                                  small_h.hop_1, small_h.hop_2,
+                                  small_h.variant)
+        times = np.array([0.0, 3.0, 6.0])
+        plain, plain_terms = _evolve_banded(small_h, a0, times)
+        shifted, shifted_terms = _evolve_banded(moved, a0, times)
+        assert shifted_terms == plain_terms
+        assert np.abs(np.abs(shifted) ** 2
+                      - np.abs(plain) ** 2).max() <= 1e-12
+
+
 class TestBesselTerms:
     @pytest.mark.parametrize("x", [0.3, 10.0, 150.0, 960.0, 4032.0])
     def test_terms_match_scipy_bessel(self, x):
